@@ -213,11 +213,6 @@ def annihilation_matrix(cutoff: FockCutoff) -> np.ndarray:
     return mat
 
 
-def creation_matrix(cutoff: FockCutoff) -> np.ndarray:
-    """Matrix of a^dag restricted to the truncated basis."""
-    return annihilation_matrix(cutoff).conj().T
-
-
 def number_matrix(cutoff: FockCutoff) -> np.ndarray:
     return np.diag(np.arange(cutoff.dim, dtype=np.complex128))
 

@@ -10,6 +10,7 @@ dense grid, deterministic under a seed with per-phase subseeds.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +25,7 @@ from .errors import EstimationError, GridError
 _MAX_PDF_SPACING = 0.02
 _PDF_NORM_TOL = 1e-6
 _SAMPLING_SPACING = 0.01
+_CSV_CHUNK = 2**14
 
 
 def quadrature_wavefunctions(x: np.ndarray, n_max: int) -> np.ndarray:
@@ -43,31 +45,53 @@ def quadrature_wavefunctions(x: np.ndarray, n_max: int) -> np.ndarray:
     return psi
 
 
-def loss_kraus(eta: float, cutoff: FockCutoff) -> list[np.ndarray]:
-    """Kraus operators A_k of the efficiency-eta loss channel.
+class LossMap:
+    """Efficiency-eta loss channel on a d-level truncation, kept banded.
 
-    A_k[m, m+k] = sqrt(C(m+k, k) eta^m (1-eta)^k); k photons lost.
+    E(rho)[m, n] = sum_k b[m, k] b[n, k] rho[m+k, n+k] with
+    b[m, k] = sqrt(C(m+k, k) eta^m (1-eta)^k), the amplitude for m photons
+    to survive and k to be lost; the adjoint scatters the same bands back.
+    Each map is d slice-adds instead of d dense Kraus products A_k rho A_k^dag
+    (A_k[m, m+k] = b[m, k]). Each entry is rounded as (b_m rho) b_n and the
+    bands are added in increasing k, the order of the dense Kraus sum, so
+    both give the same bits. The map is exact in the truncation because loss
+    only lowers the photon number.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"efficiency must lie in (0, 1], got {eta}")
-    d = cutoff.dim
-    if eta == 1.0:
-        return [np.eye(d, dtype=np.complex128)]
-    ops = []
-    log_eta, log_loss = np.log(eta), np.log(1.0 - eta)
-    for k in range(d):
-        m = np.arange(d - k)
-        log_amp = 0.5 * (
-            gammaln(m + k + 1.0)
-            - gammaln(m + 1.0)
-            - gammaln(k + 1.0)
-            + m * log_eta
-            + k * log_loss
-        )
-        a = np.zeros((d, d), dtype=np.complex128)
-        a[m, m + k] = np.exp(log_amp)
-        ops.append(a)
-    return ops
+
+    def __init__(self, eta: float, dim: int):
+        if not 0.0 < eta <= 1.0:
+            raise ValueError(f"efficiency must lie in (0, 1], got {eta}")
+        self.dim = dim
+        if eta == 1.0:
+            self._weights = [np.ones(dim)]
+            return
+        m = np.arange(dim)
+        log_eta, log_loss = np.log(eta), np.log(1.0 - eta)
+        self._weights = []
+        for k in range(dim):
+            mk = m[: dim - k]
+            log_amp = 0.5 * (
+                gammaln(mk + k + 1.0)
+                - gammaln(mk + 1.0)
+                - gammaln(k + 1.0)
+                + mk * log_eta
+                + k * log_loss
+            )
+            self._weights.append(np.exp(log_amp))
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """Schroedinger picture: the state seen after the loss."""
+        out = np.zeros((self.dim, self.dim), dtype=np.result_type(rho, np.float64))
+        for k, b in enumerate(self._weights):
+            out[: self.dim - k, : self.dim - k] += b[:, None] * rho[k:, k:] * b
+        return out
+
+    def adjoint(self, operator: np.ndarray) -> np.ndarray:
+        """Heisenberg picture (unital): Tr(apply(rho) O) = Tr(rho adjoint(O))."""
+        out = np.zeros((self.dim, self.dim), dtype=np.result_type(operator, np.float64))
+        for k, b in enumerate(self._weights):
+            out[k:, k:] += b[:, None] * operator[: self.dim - k, : self.dim - k] * b
+        return out
 
 
 def loss_channel(state: State, eta: float) -> DensityMatrix:
@@ -80,18 +104,14 @@ def loss_channel(state: State, eta: float) -> DensityMatrix:
         cutoff = state.cutoff
     else:
         raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
-    out = np.zeros_like(rho)
-    for a in loss_kraus(eta, cutoff):
-        out += a @ rho @ a.conj().T
+    out = LossMap(eta, cutoff.dim).apply(rho)
     out = 0.5 * (out + out.conj().T)
     return DensityMatrix(out, cutoff)
 
 
 def loss_channel_adjoint(operator: np.ndarray, eta: float, cutoff: FockCutoff) -> np.ndarray:
-    """Heisenberg-picture loss map sum_k A_k^dag O A_k (unital)."""
-    out = np.zeros_like(operator, dtype=np.complex128)
-    for a in loss_kraus(eta, cutoff):
-        out += a.conj().T @ operator @ a
+    """Heisenberg-picture loss map, the adjoint of loss_channel (unital)."""
+    out = LossMap(eta, cutoff.dim).adjoint(np.asarray(operator, dtype=np.complex128))
     return 0.5 * (out + out.conj().T)
 
 
@@ -302,18 +322,40 @@ def gain_from_samples(amplified: np.ndarray, input_: np.ndarray) -> GainEstimate
     return GainEstimate(gain, stderr, amplified.size, input_.size)
 
 
+def _csv_tag_field(tag) -> str:
+    """tag as csv.writer writes it in the last column of a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", tag])
+    return buf.getvalue()[1:-2]
+
+
 def save_dataset_csv(
     dataset: QuadratureDataset, path: str | Path, extra_meta: dict | None = None
 ) -> Path:
     """Write records as theta,x,tag rows plus a .meta.json sidecar; floats use
     repr so the round trip is bit-exact. extra_meta entries (e.g. provenance
-    hashes) are merged into the sidecar."""
+    hashes) are merged into the sidecar.
+
+    The bytes are those of csv.writer: each distinct tag is quoted once by
+    it and rows are formatted in chunks of _CSV_CHUNK, which bounds the
+    memory the formatted text holds."""
     path = Path(path)
+    tags = dataset.tag.tolist()
+    fields = {tag: _csv_tag_field(tag) for tag in set(tags)}
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "x", "tag"])
-        for t, x, tag in zip(dataset.theta, dataset.x, dataset.tag):
-            writer.writerow([repr(float(t)), repr(float(x)), tag])
+        fh.write("theta,x,tag\r\n")
+        for start in range(0, len(tags), _CSV_CHUNK):
+            stop = start + _CSV_CHUNK
+            fh.write(
+                "".join(
+                    f"{t!r},{x!r},{fields[tag]}\r\n"
+                    for t, x, tag in zip(
+                        dataset.theta[start:stop].tolist(),
+                        dataset.x[start:stop].tolist(),
+                        tags[start:stop],
+                    )
+                )
+            )
     meta = {
         "eta": dataset.eta,
         "seed": dataset.seed,

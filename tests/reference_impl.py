@@ -1,0 +1,99 @@
+"""Plain reference implementations that the optimized code is tested against.
+
+dense_loss_kraus builds the loss channel as d dense Kraus matrices;
+reference_maxlik is the R rho R loop written without tiles or the banded loss
+map: one wavefunction block per phase, dense Kraus products, and the
+log-likelihood summed exactly with math.fsum.
+"""
+
+import math
+
+import numpy as np
+from scipy.special import gammaln
+
+from nla import tomography
+from nla.errors import ConvergenceError
+from nla.homodyne import quadrature_wavefunctions
+
+
+def dense_loss_kraus(eta: float, dim: int) -> list[np.ndarray]:
+    """A_k[m, m+k] = sqrt(C(m+k, k) eta^m (1-eta)^k); k photons lost."""
+    if eta == 1.0:
+        return [np.eye(dim, dtype=np.complex128)]
+    ops = []
+    log_eta, log_loss = np.log(eta), np.log(1.0 - eta)
+    for k in range(dim):
+        m = np.arange(dim - k)
+        log_amp = 0.5 * (
+            gammaln(m + k + 1.0)
+            - gammaln(m + 1.0)
+            - gammaln(k + 1.0)
+            + m * log_eta
+            + k * log_loss
+        )
+        a = np.zeros((dim, dim), dtype=np.complex128)
+        a[m, m + k] = np.exp(log_amp)
+        ops.append(a)
+    return ops
+
+
+def dense_loss(rho: np.ndarray, eta: float) -> np.ndarray:
+    return sum(a @ rho @ a.conj().T for a in dense_loss_kraus(eta, rho.shape[0]))
+
+
+def reference_maxlik(data, settings, *, tag=None) -> tomography.ReconstructionResult:
+    """maxlik_reconstruct with the same update, checks and stopping rules."""
+    if tag is not None:
+        mask = data.tag == tag
+        theta, x = data.theta[mask], data.x[mask]
+    else:
+        theta, x = data.theta, data.x
+    n_samples = x.size
+    d = settings.cutoff.dim
+    kraus = dense_loss_kraus(settings.eta, d)
+    n = np.arange(d)
+    blocks = []
+    for ph in np.unique(theta):
+        psi = quadrature_wavefunctions(x[theta == ph], settings.cutoff.n_max)
+        blocks.append((np.exp(1j * ph * n), psi))
+
+    rho = np.eye(d, dtype=np.complex128) / d
+    ll_trace = []
+    converged = False
+    for iterations in range(1, settings.max_iters + 1):
+        rho_eta = rho
+        if settings.eta < 1.0:
+            rho_eta = sum(a @ rho @ a.conj().T for a in kraus)
+        s = np.zeros((d, d), dtype=np.complex128)
+        log_terms = []
+        for phase, psi in blocks:
+            rotated = (rho_eta * np.outer(phase.conj(), phase)).real
+            probs = np.maximum(np.einsum("nj,nj->j", psi, rotated @ psi), 1e-300)
+            log_terms.append(np.log(probs))
+            s += ((psi / probs) @ psi.T) * np.outer(phase, phase.conj())
+        ll = math.fsum(np.concatenate(log_terms))
+        if ll_trace and ll < ll_trace[-1] - 1e-9:
+            raise ConvergenceError(f"log-likelihood decreased at iteration {iterations}")
+        stop_ll = bool(ll_trace) and (ll - ll_trace[-1]) < settings.ll_tol * n_samples
+        ll_trace.append(ll)
+
+        if settings.eta < 1.0:
+            s = sum(a.conj().T @ s @ a for a in kraus)
+        r = 0.5 * (s + s.conj().T) / n_samples
+        rho_new = r @ rho @ r
+        rho_new = 0.5 * (rho_new + rho_new.conj().T)
+        rho_new /= np.trace(rho_new).real
+        if np.linalg.eigvalsh(rho_new)[0] < -1e-10:
+            raise ConvergenceError(f"non-physical intermediate at iteration {iterations}")
+        diag_change = float(np.max(np.abs(np.diag(rho_new) - np.diag(rho)).real))
+        rho = rho_new
+        if stop_ll or diag_change < settings.diag_tol:
+            converged = True
+            break
+
+    return tomography.ReconstructionResult(
+        rho=tomography.DensityMatrix(rho, settings.cutoff),
+        log_likelihood_trace=np.array(ll_trace),
+        iterations_used=iterations,
+        converged=converged,
+    )

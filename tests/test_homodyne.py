@@ -1,11 +1,16 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import eval_hermite, gammaln
 
 from nla import fock, homodyne
 from nla.errors import EstimationError, GridError
 from nla.fock import FockCutoff
+from reference_impl import dense_loss
 
 
 CUT = FockCutoff(20)
@@ -89,6 +94,55 @@ class TestLossChannel:
             homodyne.loss_channel(fock.vacuum_state(CUT), 0.0)
         with pytest.raises(ValueError):
             homodyne.loss_channel(fock.vacuum_state(CUT), 1.2)
+
+
+EFFICIENCIES = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+@st.composite
+def random_states(draw, max_dim=12):
+    """A random full-rank density matrix and a Hermitian observable."""
+    dim = draw(st.integers(1, max_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return rho / np.trace(rho).real, h + h.conj().T
+
+
+class TestLossMapProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(random_states(), EFFICIENCIES)
+    def test_equals_dense_kraus_sum(self, state, eta):
+        rho, _ = state
+        banded = homodyne.LossMap(eta, rho.shape[0]).apply(rho)
+        assert np.max(np.abs(banded - dense_loss(rho, eta))) < 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_states(), EFFICIENCIES)
+    def test_adjoint_duality(self, state, eta):
+        rho, obs = state
+        loss = homodyne.LossMap(eta, rho.shape[0])
+        lhs = np.trace(loss.apply(rho) @ obs)
+        rhs = np.trace(rho @ loss.adjoint(obs))
+        assert abs(lhs - rhs) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_states(), EFFICIENCIES)
+    def test_trace_preserving(self, state, eta):
+        rho, _ = state
+        out = homodyne.LossMap(eta, rho.shape[0]).apply(rho)
+        assert abs(np.trace(out) - 1.0) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_states(), EFFICIENCIES, EFFICIENCIES)
+    def test_composition(self, state, eta1, eta2):
+        assume(eta1 * eta2 > 0.0)
+        rho, _ = state
+        dim = rho.shape[0]
+        twice = homodyne.LossMap(eta1, dim).apply(homodyne.LossMap(eta2, dim).apply(rho))
+        once = homodyne.LossMap(eta1 * eta2, dim).apply(rho)
+        assert np.max(np.abs(twice - once)) < 1e-12
 
 
 class TestQuadraturePdf:
@@ -247,3 +301,23 @@ class TestSerialization:
         assert loaded.seed == data.seed
         assert loaded.counts_per_phase == data.counts_per_phase
         assert loaded.description == data.description
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        data = homodyne.sample_quadratures(
+            fock.coherent_state(0.5, CUT), homodyne.uniform_phases(3), 50, 0.6, 3, tag="plain"
+        )
+        for tag in ('in,"put', "", " spaced"):
+            data = data.merged_with(
+                homodyne.sample_quadratures(
+                    fock.vacuum_state(CUT), homodyne.uniform_phases(3), 50, 0.6, 4, tag=tag
+                )
+            )
+        path = homodyne.save_dataset_csv(data, tmp_path / "fast.csv")
+        expected = tmp_path / "writer.csv"
+        with expected.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["theta", "x", "tag"])
+            for t, x, tag in zip(data.theta, data.x, data.tag):
+                writer.writerow([repr(float(t)), repr(float(x)), tag])
+        assert path.read_bytes() == expected.read_bytes()
+        assert list(homodyne.load_dataset_csv(path).tag) == list(data.tag)

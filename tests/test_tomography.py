@@ -3,6 +3,7 @@ import pytest
 
 from nla import amplifiers, fock, homodyne, tomography
 from nla.fock import FockCutoff
+from reference_impl import reference_maxlik
 
 
 def make_roundtrip(state, cutoff, counts, eta, seed):
@@ -145,6 +146,28 @@ class TestMaxlikReconstruct:
         chi2 = float(np.sum((counts[mask] - expected[mask]) ** 2 / expected[mask]))
         dof = int(np.sum(mask))
         assert chi2 < dof + 3.0 * np.sqrt(2.0 * dof)
+
+
+class TestLikelihoodKernel:
+    @pytest.mark.parametrize("eta", [0.6, 1.0])
+    def test_matches_untiled_reference_loop(self, eta):
+        cut = FockCutoff(20)
+        truth = amplifiers.amplify_ideal(fock.coherent_state(0.65, cut), 2.0).normalized()
+        data = homodyne.sample_quadratures(
+            truth, homodyne.uniform_phases(5), 2000, eta, 27, tag="amplified"
+        )
+        # d 21 gives 1560-column tiles, so each phase is one full and one ragged tile
+        kernel = tomography._Likelihood(data.theta, data.x, eta, cut)
+        assert all(
+            [psi.shape[1] for psi in tiles] == [1560, 440] for _, tiles in kernel._phases
+        )
+        settings = tomography.TomographySettings(cutoff=cut, eta=eta, max_iters=100)
+        ours = tomography.maxlik_reconstruct(data, settings)
+        ref = reference_maxlik(data, settings)
+        assert ours.iterations_used == ref.iterations_used == 100
+        assert np.max(np.abs(ours.rho.elements - ref.rho.elements)) < 1e-12
+        ll_drift = np.abs(ours.log_likelihood_trace - ref.log_likelihood_trace)
+        assert np.max(ll_drift) < 1e-9
 
 
 class TestDiagnostic:
