@@ -188,13 +188,12 @@ class QuadratureDataset:
         if self.counts_per_phase < 1:
             raise ValueError("counts_per_phase must be >= 1")
         phase_set = set(phases.tolist())
-        for t in np.unique(tag):
-            sel = theta[tag == t]
-            seen = set(sel.tolist())
-            if not seen <= phase_set:
+        for t in sorted(set(tag.tolist())):
+            seen, counts = np.unique(theta[tag == t], return_counts=True)
+            if not set(seen.tolist()) <= phase_set:
                 raise ValueError(f"tag {t!r} contains phases outside the declared grid")
-            for ph in seen:
-                if int(np.sum(sel == ph)) != self.counts_per_phase:
+            for ph, count in zip(seen.tolist(), counts.tolist()):
+                if count != self.counts_per_phase:
                     raise ValueError(
                         f"tag {t!r} phase {ph!r} does not hold counts_per_phase records"
                     )

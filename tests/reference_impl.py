@@ -3,7 +3,8 @@
 dense_loss_kraus builds the loss channel as d dense Kraus matrices;
 reference_maxlik is the R rho R loop written without tiles or the banded loss
 map: one wavefunction block per phase, dense Kraus products, and the
-log-likelihood summed exactly with math.fsum.
+log-likelihood summed exactly with math.fsum; reference_wigner_points
+evaluates W pointwise by the Fock-basis Laguerre series.
 """
 
 import math
@@ -97,3 +98,35 @@ def reference_maxlik(data, settings, *, tag=None) -> tomography.ReconstructionRe
         iterations_used=iterations,
         converged=converged,
     )
+
+
+def reference_wigner_points(rho: np.ndarray, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """W of the normalized rho at arbitrary points by the Laguerre series,
+    run through three-term recurrences in beta = (x + i p)/2 (the QuTiP-style
+    iterative scheme), so no factorials appear at any order.
+
+    The recurrence runs in np.longdouble (64-bit mantissa on x86-64). In
+    double precision its rounding grows with d: for random full-rank rho it
+    is off by up to 3e-11 at d 38, where the position-space sum agrees with a
+    40-digit quadrature to 1e-17."""
+    d = rho.shape[0]
+    rho = np.asarray(rho, dtype=np.clongdouble)
+    two_a = np.asarray(x, dtype=np.longdouble) + 1j * np.asarray(p, dtype=np.longdouble)
+    two_ac = two_a.conj()
+    root = np.sqrt(np.arange(d, dtype=np.longdouble))
+    wlist = np.empty((d,) + two_a.shape, dtype=np.clongdouble)
+    wlist[0] = np.exp(-0.5 * np.abs(two_a) ** 2) / np.pi
+    w = rho[0, 0].real * wlist[0].real
+    for n in range(1, d):
+        wlist[n] = two_a * wlist[n - 1] / root[n]
+        w = w + 2.0 * (rho[0, n] * wlist[n]).real
+    for m in range(1, d):
+        temp = wlist[m].copy()
+        wlist[m] = (two_ac * temp - root[m] * wlist[m - 1]) / root[m]
+        w = w + (rho[m, m] * wlist[m]).real
+        for n in range(m + 1, d):
+            temp2 = (two_a * wlist[n - 1] - root[m] * temp) / root[n]
+            temp = wlist[n].copy()
+            wlist[n] = temp2
+            w = w + 2.0 * (rho[m, n] * wlist[n]).real
+    return (0.5 * w).astype(np.float64)

@@ -235,6 +235,44 @@ class TestSampling:
             )
 
 
+def _dataset(theta, tag, phases=(0.0, 0.5), counts=2):
+    return homodyne.QuadratureDataset(
+        theta=np.array(theta, dtype=np.float64),
+        x=np.zeros(len(theta)),
+        tag=np.array(tag, dtype=object),
+        phases=np.array(phases),
+        eta=1.0,
+        seed=0,
+        counts_per_phase=counts,
+    )
+
+
+class TestDatasetValidation:
+    def test_valid_layout_accepted(self):
+        data = _dataset([0.0, 0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.5], ["a"] * 4 + ["b"] * 4)
+        assert data.n_records == 8
+
+    def test_phase_off_the_grid(self):
+        with pytest.raises(ValueError, match=r"^tag 'a' contains phases outside the declared grid$"):
+            _dataset([0.0, 0.0, 0.5, 0.25], ["a"] * 4)
+
+    def test_wrong_count(self):
+        with pytest.raises(
+            ValueError, match=r"^tag 'a' phase 0\.5 does not hold counts_per_phase records$"
+        ):
+            _dataset([0.0, 0.0, 0.5], ["a"] * 3)
+
+    def test_nan_theta(self):
+        with pytest.raises(ValueError, match="tag 'a' contains phases outside the declared grid"):
+            _dataset([0.0, 0.0, 0.5, np.nan], ["a"] * 4)
+
+    def test_first_bad_tag_in_sorted_order_is_named(self):
+        theta = [0.0, 0.5, 0.5] + [0.0, 0.0, 0.5, 0.5] + [0.0, 0.5, 0.5]
+        tag = ["z"] * 3 + ["m"] * 4 + ["b"] * 3
+        with pytest.raises(ValueError, match=r"^tag 'b' phase 0\.0 does not hold"):
+            _dataset(theta, tag)
+
+
 class TestGainFromSamples:
     def test_identical_records_give_unity(self):
         rng = np.random.default_rng(0)

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import eval_laguerre
 
 from nla import amplifiers, fock, homodyne, wigner
 from nla.errors import GridError
 from nla.fock import FockCutoff
+from reference_impl import reference_wigner_points
 
 
 CUT = FockCutoff(25)
@@ -66,6 +70,88 @@ class TestWignerFunction:
                 fock.coherent_state(1.5, FockCutoff(40)), np.linspace(-2, 2, 81)
             )
 
+    def test_non_uniform_x_axis_rejected(self):
+        psi = fock.coherent_state(0.5, CUT)
+        x = np.array([-1.0, 0.0, 0.5, 1.0])
+        with pytest.raises(ValueError, match="strictly increasing and uniform"):
+            wigner.wigner_values(psi, x, AXES)
+        with pytest.raises(ValueError, match="strictly increasing and uniform"):
+            wigner.wigner_values(psi, AXES[::-1], AXES)
+
+    def test_coarse_x_axis_is_exact(self):
+        # 2 pi / spacing is below the state's p extent here, so the sum must
+        # refine its step to keep the aliased copies of W off the grid.
+        psi = fock.coherent_state(1.5 + 0.5j, FockCutoff(40))
+        x = np.linspace(-8.0, 8.0, 5)
+        expected = coherent_wigner_closed_form(1.5 + 0.5j, x, AXES)
+        assert np.max(np.abs(wigner.wigner_values(psi, x, AXES) - expected)) < 1e-13
+
+
+@st.composite
+def random_densities(draw, max_dim=40):
+    """A random full-rank density matrix on 2..max_dim levels (n_max >= 1)."""
+    dim = draw(st.integers(2, max_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return fock.DensityMatrix(rho / np.trace(rho).real, FockCutoff(dim - 1))
+
+
+# The reference recurrence's own rounding grows with d: in extended precision
+# it is off by up to 3e-14 at d 38 (the largest cutoff the pipeline uses, at
+# alpha 1.5) but 7e-14 at d 40 and 1.3e-13 at d 41, while the position-space
+# sum agrees with 40-digit quadratures to 1e-17. Comparisons at 1e-13 against
+# it stop at d 38; the Fock-state closed form covers d up to 40.
+REFERENCE_MAX_DIM = 38
+
+
+class TestWignerProperties:
+    @settings(max_examples=10, deadline=None)
+    @given(random_densities(REFERENCE_MAX_DIM))
+    def test_grid_matches_reference_on_default_axes(self, rho):
+        xg, pg = np.meshgrid(AXES, AXES, indexing="ij")
+        expected = reference_wigner_points(rho.elements, xg, pg)
+        assert np.max(np.abs(wigner.wigner_values(rho, AXES, AXES) - expected)) < 1e-13
+
+    @settings(max_examples=20, deadline=None)
+    @given(random_densities(REFERENCE_MAX_DIM), st.integers(0, 2**32 - 1))
+    def test_grid_matches_reference_on_non_uniform_p(self, rho, seed):
+        x = np.linspace(-7.0, 9.0, 33)
+        p = np.sort(np.random.default_rng(seed).uniform(-9.0, 9.0, 47))
+        xg, pg = np.meshgrid(x, p, indexing="ij")
+        expected = reference_wigner_points(rho.elements, xg, pg)
+        assert np.max(np.abs(wigner.wigner_values(rho, x, p) - expected)) < 1e-13
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 39))
+    def test_fock_state_matches_laguerre_closed_form(self, n):
+        # W_n = ((-1)^n / 2 pi) e^{-r^2/2} L_n(r^2), r^2 = x^2 + p^2
+        grid = wigner.wigner_values(fock.fock_state(n, FockCutoff(max(n, 1))), AXES, AXES)
+        xg, pg = np.meshgrid(AXES, AXES, indexing="ij")
+        r2 = xg * xg + pg * pg
+        expected = (-1.0) ** n / (2.0 * np.pi) * np.exp(-r2 / 2.0) * eval_laguerre(n, r2)
+        assert np.max(np.abs(grid - expected)) < 1e-13
+
+    @settings(max_examples=10, deadline=None)
+    @given(random_densities(), st.floats(0.0, 2.0 * np.pi))
+    def test_marginal_matches_quadrature_pdf(self, rho, theta):
+        u = np.arange(-16.0, 16.0001, 0.02)
+        marg = wigner.wigner_marginal(rho, theta, u, np.linspace(-16.0, 16.0, 401))
+        assert np.max(np.abs(marg - homodyne.quadrature_pdf(rho, theta, u))) < 1e-4
+
+    @settings(max_examples=20, deadline=None)
+    @given(random_densities(), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    def test_linear_over_mixtures(self, rho_a, seed, weight):
+        g = np.random.default_rng(seed).normal(size=(2, rho_a.dim, rho_a.dim))
+        g = g[0] + 1j * g[1]
+        rho_b = g @ g.conj().T
+        rho_b = fock.DensityMatrix(rho_b / np.trace(rho_b).real, rho_a.cutoff)
+        mixed = wigner.mixture([rho_a, rho_b], [weight, 1.0 - weight])
+        w_sum = weight * wigner.wigner_values(rho_a, AXES, AXES) + (
+            1.0 - weight
+        ) * wigner.wigner_values(rho_b, AXES, AXES)
+        assert np.max(np.abs(wigner.wigner_values(mixed, AXES, AXES) - w_sum)) < 1e-12
+
 
 class TestMarginals:
     def test_marginals_match_quadrature_pdf(self):
@@ -75,6 +161,12 @@ class TestMarginals:
             marg = wigner.wigner_marginal(psi, theta, u)
             pdf = homodyne.quadrature_pdf(psi, theta, u)
             assert np.max(np.abs(marg - pdf)) < 1e-4
+
+    def test_non_uniform_s_axis_rejected(self):
+        u = np.arange(-8.0, 8.0001, 0.02)
+        s = np.concatenate([np.linspace(-8.0, 0.0, 101), np.linspace(0.1, 8.0, 50)])
+        with pytest.raises(ValueError, match="s_axis must be strictly increasing and uniform"):
+            wigner.wigner_marginal(fock.vacuum_state(CUT), 0.3, u, s)
 
     def test_fock_state_marginal(self):
         u = np.arange(-8.0, 8.0001, 0.02)
@@ -107,7 +199,7 @@ class TestPhaseShift:
         xg, pg = np.meshgrid(axes, axes, indexing="ij")
         xr = xg * np.cos(phi) + pg * np.sin(phi)
         pr = -xg * np.sin(phi) + pg * np.cos(phi)
-        w_back = wigner._wigner_points(psi.to_density().elements, xr, pr)
+        w_back = reference_wigner_points(psi.to_density().elements, xr, pr)
         assert np.max(np.abs(w_rotated - w_back)) < 1e-4
 
 
