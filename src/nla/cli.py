@@ -219,6 +219,40 @@ def load_rho(path: str | Path) -> fock.DensityMatrix:
     return fock.DensityMatrix(mat, fock.FockCutoff(payload["n_max"]))
 
 
+def _cutoff(config: ExperimentConfig, alpha: float) -> fock.FockCutoff:
+    """The configured cutoff, or the default one for the amplified |g alpha>."""
+    if config.cutoff is not None:
+        return fock.FockCutoff(config.cutoff)
+    return fock.default_cutoff(alpha, g=config.g)
+
+
+def _reconstruct(
+    config: ExperimentConfig,
+    data: homodyne.QuadratureDataset,
+    cutoff: fock.FockCutoff,
+    tag: str,
+    out_dir: Path,
+) -> tuple[tomography.ReconstructionResult, list[Path]]:
+    """MaxLik on one tag of the dataset, written as rho.json and loglik.csv."""
+    settings = tomography.TomographySettings(
+        cutoff=cutoff,
+        eta=config.eta,
+        max_iters=config.max_iters,
+        ll_tol=config.ll_tol,
+        diag_tol=config.diag_tol,
+    )
+    result = tomography.maxlik_reconstruct(data, settings, tag=tag)
+    paths = [
+        _write_rho(result.rho, out_dir / "rho.json", _provenance(config)),
+        _write_csv(
+            out_dir / "loglik.csv",
+            ["iteration", "log_likelihood"],
+            [[i, float(ll)] for i, ll in enumerate(result.log_likelihood_trace)],
+        ),
+    ]
+    return result, paths
+
+
 def run_curves(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     """Figure-of-merit curves vs |alpha| for the addition/subtraction scheme
     and the quantum-scissors rival at the configured nominal gain."""
@@ -239,7 +273,7 @@ def run_curves(config: ExperimentConfig, out_dir: Path) -> list[Path]:
                 report.n_eq,
                 report.var_x_amp,
                 report.var_p_amp,
-                2.0 * report.g_eff**2 - 1.0,
+                amplifiers.deterministic_noise_bounds(report.g_eff).best_det_variance,
             ]
         )
     path = _write_csv(
@@ -285,11 +319,7 @@ def run_simulate(config: ExperimentConfig, out_dir: Path) -> list[Path]:
 
 
 def _simulate_one(config: ExperimentConfig, alpha: float, out_dir: Path) -> list[Path]:
-    cutoff = (
-        fock.FockCutoff(config.cutoff)
-        if config.cutoff is not None
-        else fock.default_cutoff(alpha, g=config.g)
-    )
+    cutoff = _cutoff(config, alpha)
     phases = homodyne.uniform_phases(config.phases)
     counts = config.counts_per_phase
 
@@ -322,22 +352,8 @@ def _simulate_one(config: ExperimentConfig, alpha: float, out_dir: Path) -> list
         data.select("amplified", theta=0.0), data.select("input", theta=0.0)
     )
 
-    settings = tomography.TomographySettings(
-        cutoff=cutoff,
-        eta=config.eta,
-        max_iters=config.max_iters,
-        ll_tol=config.ll_tol,
-        diag_tol=config.diag_tol,
-    )
-    result = tomography.maxlik_reconstruct(data, settings, tag="amplified")
-    paths.append(_write_rho(result.rho, out_dir / "rho.json", provenance))
-    paths.append(
-        _write_csv(
-            out_dir / "loglik.csv",
-            ["iteration", "log_likelihood"],
-            [[i, float(ll)] for i, ll in enumerate(result.log_likelihood_trace)],
-        )
-    )
+    result, written = _reconstruct(config, data, cutoff, "amplified", out_dir)
+    paths.extend(written)
 
     truth = amplifiers.amplify_ideal(input_state, config.g).normalized()
     g_eff_analytic = amplifiers.effective_gain_analytic(config.g, alpha)
@@ -367,7 +383,9 @@ def _simulate_one(config: ExperimentConfig, alpha: float, out_dir: Path) -> list
         else None,
         "var_x": var_x_rec,
         "var_p": var_p_rec,
-        "best_det_variance": 2.0 * g_eff_analytic**2 - 1.0,
+        "best_det_variance": amplifiers.deterministic_noise_bounds(
+            g_eff_analytic
+        ).best_det_variance,
         "iterations_used": result.iterations_used,
         "converged": result.converged,
     }
@@ -384,28 +402,9 @@ def run_reconstruct(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     """MaxLik reconstruction of an existing quadrature CSV."""
     data = homodyne.load_dataset_csv(config.dataset)
     alpha = config.alphas[0]
-    cutoff = (
-        fock.FockCutoff(config.cutoff)
-        if config.cutoff is not None
-        else fock.default_cutoff(alpha, g=config.g)
-    )
-    settings = tomography.TomographySettings(
-        cutoff=cutoff,
-        eta=config.eta,
-        max_iters=config.max_iters,
-        ll_tol=config.ll_tol,
-        diag_tol=config.diag_tol,
-    )
-    result = tomography.maxlik_reconstruct(data, settings, tag=config.reconstruct_tag)
+    cutoff = _cutoff(config, alpha)
+    result, paths = _reconstruct(config, data, cutoff, config.reconstruct_tag, out_dir)
     provenance = _provenance(config)
-    paths = [
-        _write_rho(result.rho, out_dir / "rho.json", provenance),
-        _write_csv(
-            out_dir / "loglik.csv",
-            ["iteration", "log_likelihood"],
-            [[i, float(ll)] for i, ll in enumerate(result.log_likelihood_trace)],
-        ),
-    ]
     report = {
         **provenance,
         "alpha": alpha,
@@ -427,11 +426,7 @@ def run_wigner_demo(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     """Discrimination demo: the equal mixture of |alpha> and |i alpha> before
     and after ideal amplification, with the component-overlap report."""
     alpha = config.alphas[0]
-    cutoff = (
-        fock.FockCutoff(config.cutoff)
-        if config.cutoff is not None
-        else fock.default_cutoff(alpha, g=config.g)
-    )
+    cutoff = _cutoff(config, alpha)
     axes = wigner.default_axes(config.grid_halfwidth, config.grid_points)
 
     psi = fock.coherent_state(alpha, cutoff)

@@ -170,6 +170,15 @@ class DensityMatrix:
 State = Union[PureState, DensityMatrix]
 
 
+def normalized_density(state: State) -> DensityMatrix:
+    """Unit-trace density matrix of a ket or of a possibly subnormalized matrix."""
+    if isinstance(state, PureState):
+        return state.to_density()
+    if isinstance(state, DensityMatrix):
+        return state.normalized()
+    raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
+
+
 def vacuum_state(cutoff: FockCutoff) -> PureState:
     return fock_state(0, cutoff)
 

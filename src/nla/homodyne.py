@@ -45,6 +45,44 @@ def quadrature_wavefunctions(x: np.ndarray, n_max: int) -> np.ndarray:
     return psi
 
 
+def log_binomial_bands(dim: int) -> list[np.ndarray]:
+    """log C(m+k, k) for m = 0 .. dim-1-k, one array per band k = 0 .. dim-1.
+
+    The one binomial table behind every banded channel in the package: the
+    detection loss, the subtraction tap and the addition squeezer.
+    """
+    m = np.arange(dim)
+    return [
+        gammaln(m[: dim - k] + k + 1.0) - gammaln(m[: dim - k] + 1.0) - gammaln(k + 1.0)
+        for k in range(dim)
+    ]
+
+
+def lower_bands(bands: list[np.ndarray], rho: np.ndarray) -> np.ndarray:
+    """sum_k A_k rho A_k^T with A_k[m, m+k] = b_k[m]: band k removes k quanta.
+
+    Band k holds dim - k weights, which fixes its offset, so a caller drops
+    bands by leaving them out of the list.
+    """
+    dim = rho.shape[0]
+    out = np.zeros((dim, dim), dtype=np.result_type(rho, np.float64))
+    for b in bands:
+        k = dim - b.size
+        out[: dim - k, : dim - k] += b[:, None] * rho[k:, k:] * b
+    return out
+
+
+def raise_bands(bands: list[np.ndarray], operator: np.ndarray) -> np.ndarray:
+    """sum_k A_k^T O A_k for the bands of :func:`lower_bands`: band k moves
+    every entry k levels up the diagonal and drops what leaves the cutoff."""
+    dim = operator.shape[0]
+    out = np.zeros((dim, dim), dtype=np.result_type(operator, np.float64))
+    for b in bands:
+        k = dim - b.size
+        out[k:, k:] += b[:, None] * operator[: dim - k, : dim - k] * b
+    return out
+
+
 class LossMap:
     """Efficiency-eta loss channel on a d-level truncation, kept banded.
 
@@ -61,37 +99,22 @@ class LossMap:
     def __init__(self, eta: float, dim: int):
         if not 0.0 < eta <= 1.0:
             raise ValueError(f"efficiency must lie in (0, 1], got {eta}")
-        self.dim = dim
         if eta == 1.0:
-            self._weights = [np.ones(dim)]
+            self.bands = [np.ones(dim)]
             return
-        m = np.arange(dim)
         log_eta, log_loss = np.log(eta), np.log(1.0 - eta)
-        self._weights = []
-        for k in range(dim):
-            mk = m[: dim - k]
-            log_amp = 0.5 * (
-                gammaln(mk + k + 1.0)
-                - gammaln(mk + 1.0)
-                - gammaln(k + 1.0)
-                + mk * log_eta
-                + k * log_loss
-            )
-            self._weights.append(np.exp(log_amp))
+        self.bands = [
+            np.exp(0.5 * (log_c + np.arange(log_c.size) * log_eta + k * log_loss))
+            for k, log_c in enumerate(log_binomial_bands(dim))
+        ]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Schroedinger picture: the state seen after the loss."""
-        out = np.zeros((self.dim, self.dim), dtype=np.result_type(rho, np.float64))
-        for k, b in enumerate(self._weights):
-            out[: self.dim - k, : self.dim - k] += b[:, None] * rho[k:, k:] * b
-        return out
+        return lower_bands(self.bands, rho)
 
     def adjoint(self, operator: np.ndarray) -> np.ndarray:
         """Heisenberg picture (unital): Tr(apply(rho) O) = Tr(rho adjoint(O))."""
-        out = np.zeros((self.dim, self.dim), dtype=np.result_type(operator, np.float64))
-        for k, b in enumerate(self._weights):
-            out[k:, k:] += b[:, None] * operator[: self.dim - k, : self.dim - k] * b
-        return out
+        return raise_bands(self.bands, operator)
 
 
 def loss_channel(state: State, eta: float) -> DensityMatrix:
@@ -115,14 +138,6 @@ def loss_channel_adjoint(operator: np.ndarray, eta: float, cutoff: FockCutoff) -
     return 0.5 * (out + out.conj().T)
 
 
-def _as_density(state: State) -> DensityMatrix:
-    if isinstance(state, PureState):
-        return state.to_density()
-    if isinstance(state, DensityMatrix):
-        return state.normalized()
-    raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
-
-
 def quadrature_pdf(state: State, theta: float, x_grid: np.ndarray) -> np.ndarray:
     """p(x|theta) of the normalized state on the given grid.
 
@@ -138,7 +153,7 @@ def quadrature_pdf(state: State, theta: float, x_grid: np.ndarray) -> np.ndarray
         raise GridError(
             f"quadrature grid too coarse: spacing {np.max(spacing):.4g} > {_MAX_PDF_SPACING}"
         )
-    rho = _as_density(state)
+    rho = fock.normalized_density(state)
     psi = quadrature_wavefunctions(x_grid, rho.cutoff.n_max)
     phases = np.exp(1j * theta * np.arange(rho.dim))
     phi = phases[:, None] * psi

@@ -3,10 +3,16 @@ two-mode squeezer with an on/off herald on the idler, photon subtraction by a
 weak beam-splitter tap with an on/off herald on the reflected mode.
 
 On/off detectors are ideal (unit efficiency, no dark counts): the click POVM
-is 1 - |0><0| on the ancilla. The two-mode squeezer is applied as a series
-expansion of exp[lambda (a^dag b^dag - a b)] truncated when the next term
-stops contributing, which is exact to tolerance for lambda <= 0.3 and avoids
-building a (n_max+1)^2-dimensional matrix exponential.
+is 1 - |0><0| on the ancilla. Both stages are closed-form Kraus channels in
+the banded form of homodyne.LossMap, on its binomial table: k photons in the
+ancilla shift the signal by k levels, and a click keeps the bands k >= 1.
+
+- Addition: exp[lambda (a^dag b^dag - a b)] maps |n>|0> to
+  sum_k tanh^k(lambda) / cosh^{n+1}(lambda) sqrt(C(n+k, k)) |n+k>|k>, so the
+  bands scatter up the diagonal; what leaves the cutoff is dropped, which the
+  headroom check keeps negligible.
+- Subtraction: the tap is the efficiency-(1-R) loss map, exact in the
+  truncation.
 """
 
 from __future__ import annotations
@@ -14,39 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import fock
 from .fock import DensityMatrix, FockCutoff, PureState, State
 from .errors import ConvergenceError, TruncationError
+from .homodyne import log_binomial_bands, lower_bands, raise_bands
 
-_MAX_SERIES_TERMS = 200
-_SERIES_TOL = 1e-14
 _HEADROOM_TOL = 1e-10
-_EIG_FLOOR = 1e-14
-
-
-@dataclass(frozen=True)
-class TwoModeState:
-    """Joint signal (x) ancilla amplitude matrix; both modes share the cutoff."""
-
-    amplitudes: np.ndarray
-    signal_cutoff: FockCutoff
-    ancilla_cutoff: FockCutoff
-
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=np.complex128, copy=True)
-        expect = (self.signal_cutoff.dim, self.ancilla_cutoff.dim)
-        if amps.shape != expect:
-            raise ValueError(f"amplitude matrix has shape {amps.shape}, expected {expect}")
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
 @dataclass(frozen=True)
@@ -72,136 +52,61 @@ def _check_headroom(state: PureState):
         )
 
 
-def two_mode_squeeze(state: PureState, lam: float) -> TwoModeState:
-    """exp[lambda (a^dag b^dag - a b)] applied to state (x) |0>_ancilla.
-
-    Series-expanded with term-wise ladder application; the ancilla cutoff
-    equals the signal cutoff (occupation beyond a few quanta is negligible at
-    the weak squeezing this models).
-    """
-    d = state.dim
-    sq = np.sqrt(np.arange(1, d))
-    factors = np.outer(sq, sq)
-
-    term = np.zeros((d, d), dtype=np.complex128)
-    term[:, 0] = state.amplitudes
-    total = term.copy()
-    ref = max(1.0, float(np.linalg.norm(total)))
-    for k in range(1, _MAX_SERIES_TERMS + 1):
-        nxt = np.zeros_like(term)
-        nxt[1:, 1:] += term[:-1, :-1] * factors  # a^dag b^dag
-        nxt[:-1, :-1] -= term[1:, 1:] * factors  # -a b
-        term = nxt * (lam / k)
-        total += term
-        if float(np.linalg.norm(term)) < _SERIES_TOL * ref:
-            break
-    else:
-        raise ConvergenceError(
-            f"two-mode squeezer series did not converge in {_MAX_SERIES_TERMS} terms"
-        )
-    return TwoModeState(total, state.cutoff, state.cutoff)
+def _clicked(rho: np.ndarray, p_click: float, cutoff: FockCutoff) -> HeraldedResult:
+    if p_click <= 0.0:
+        raise ConvergenceError("herald click probability vanished")
+    rho = 0.5 * (rho + rho.conj().T)
+    rho /= np.trace(rho).real
+    return HeraldedResult(DensityMatrix(rho, cutoff), p_click)
 
 
 def heralded_addition(state: PureState, lam: float) -> HeraldedResult:
     """Single-photon addition heralded by an idler click.
 
-    Applies the weak two-mode squeezer, projects the idler onto the click
-    POVM 1 - |0><0|, traces the idler out, and returns the conditional signal
-    state (mixed at order lambda^2) with the click probability.
+    Band k >= 1 carries amplitude sqrt(C(n+k, k) sech^{2n+2} tanh^{2k}) from
+    |n> to |n+k>. The click probability is the complement of the no-click
+    weight sum_n |c_n|^2 sech^{2n+2}(lambda), taken over the whole space.
     """
     if not 0.0 < lam <= 0.3:
         raise ValueError(f"squeezing parameter must lie in (0, 0.3], got {lam}")
     _check_headroom(state)
-    joint = two_mode_squeeze(state, lam)
-    c = joint.amplitudes
-    total = joint.norm_squared
-    clicked = c[:, 1:]
-    p_click = float(np.vdot(clicked, clicked).real) / total
-    if p_click <= 0.0:
-        raise ConvergenceError("herald click probability vanished")
-    rho = clicked @ clicked.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= np.trace(rho).real
-    return HeraldedResult(DensityMatrix(rho, state.cutoff), p_click)
-
-
-def _subtraction_branches(amps: np.ndarray, reflectivity: float):
-    """Per-photon-count reflection branches of a beam splitter with vacuum ancilla.
-
-    Yields (k, branch, weight) where branch[m] is the signal amplitude left
-    after k photons reflected, and weight is its squared norm computed in the
-    probability domain (binomial in R directly, so e.g. |1> with any R gives
-    the click weight R without a sqrt round trip).
-    """
-    d = amps.size
-    n = np.arange(d)
-    t2 = 1.0 - reflectivity
-    log_n_fact = gammaln(n + 1.0)
-    for k in range(d):
-        src = n[k:]
-        # C(n, k) R^k (1-R)^(n-k) per source level, in log space for stability
-        log_w = (
-            log_n_fact[src]
-            - log_n_fact[src - k]
-            - log_n_fact[k]
-            + (src - k) * np.log(t2)
-        )
-        if k == 0:
-            probs = np.exp(log_w)
-        else:
-            probs = np.exp(log_w) * reflectivity**k
-        branch = np.zeros(d, dtype=np.complex128)
-        branch[: d - k] = amps[k:] * np.sqrt(probs)
-        weight = float(np.sum(np.abs(amps[k:]) ** 2 * probs))
-        yield k, branch, weight
-
-
-def _subtract_pure(amps: np.ndarray, reflectivity: float, d: int):
-    rho_click = np.zeros((d, d), dtype=np.complex128)
-    weight_click = 0.0
-    for k, branch, weight in _subtraction_branches(amps, reflectivity):
-        if k == 0:
-            continue
-        rho_click += np.outer(branch, branch.conj())
-        weight_click += weight
-    return rho_click, weight_click
+    c = state.amplitudes
+    tanh2 = np.tanh(lam) ** 2
+    log_sech2, log_tanh2 = np.log1p(-tanh2), np.log(tanh2)
+    bands = [
+        np.exp(0.5 * (log_c + (np.arange(log_c.size) + 1.0) * log_sech2 + k * log_tanh2))
+        for k, log_c in enumerate(log_binomial_bands(state.dim))
+        if k
+    ]
+    weights = np.abs(c) ** 2
+    p_click = float(np.sum(weights * -np.expm1((np.arange(state.dim) + 1.0) * log_sech2)))
+    rho = raise_bands(bands, np.outer(c, c.conj()))
+    return _clicked(rho, p_click / float(np.sum(weights)), state.cutoff)
 
 
 def heralded_subtraction(state: State, reflectivity: float) -> HeraldedResult:
     """Single-photon subtraction by a weak beam-splitter tap with a click herald.
 
-    Mixes the state with vacuum on a beam splitter of the given reflectivity,
-    heralds a click (1 - |0><0|) on the reflected mode, traces it out.
+    The click state is the efficiency-(1-R) loss map without its k = 0 band,
+    its band weights C(m+k, k) (1-R)^m R^k taken in the probability domain:
+    they sum to the click probability over the diagonal, so |1> clicks with
+    probability exactly R, and their square roots are the Kraus amplitudes.
     Coherent states stay exactly coherent with amplitude sqrt(1-R) alpha.
     """
     if not 0.0 < reflectivity < 0.5:
         raise ValueError(f"reflectivity must lie in (0, 0.5), got {reflectivity}")
-    if isinstance(state, PureState):
-        d = state.dim
-        rho_click, weight_click = _subtract_pure(state.amplitudes, reflectivity, d)
-        total = state.norm_squared
-        cutoff = state.cutoff
-    elif isinstance(state, DensityMatrix):
-        d = state.dim
-        vals, vecs = np.linalg.eigh(state.elements)
-        rho_click = np.zeros((d, d), dtype=np.complex128)
-        weight_click = 0.0
-        for val, vec in zip(vals, vecs.T):
-            if val < _EIG_FLOOR:
-                continue
-            part_rho, part_w = _subtract_pure(vec.astype(np.complex128), reflectivity, d)
-            rho_click += val * part_rho
-            weight_click += val * part_w
-        total = state.trace
-        cutoff = state.cutoff
-    else:
-        raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
-    p_click = weight_click / total
-    if p_click <= 0.0:
-        raise ConvergenceError("herald click probability vanished")
-    rho_click = 0.5 * (rho_click + rho_click.conj().T)
-    rho_click /= np.trace(rho_click).real
-    return HeraldedResult(DensityMatrix(rho_click, cutoff), p_click)
+    rho = fock.normalized_density(state)
+    d = rho.dim
+    log_keep = np.log(1.0 - reflectivity)
+    probs = [
+        np.exp(log_c + np.arange(d - k) * log_keep) * reflectivity**k
+        for k, log_c in enumerate(log_binomial_bands(d))
+        if k
+    ]
+    populations = rho.elements.diagonal().real
+    p_click = sum(float(np.sum(populations[d - p.size :] * p)) for p in probs)
+    rho_click = lower_bands([np.sqrt(p) for p in probs], rho.elements)
+    return _clicked(rho_click, p_click, rho.cutoff)
 
 
 def physical_amplifier(
@@ -225,6 +130,5 @@ def fidelity_to_ideal_amplifier(state: State, alpha: complex, g: float = 2.0) ->
     """Overlap of a conditional output with the normalized ideal-operator target."""
     from . import amplifiers
 
-    cutoff = state.cutoff if isinstance(state, (PureState, DensityMatrix)) else None
-    target = amplifiers.amplify_ideal(fock.coherent_state(alpha, cutoff), g).normalized()
+    target = amplifiers.amplify_ideal(fock.coherent_state(alpha, state.cutoff), g).normalized()
     return fock.state_fidelity(state, target)

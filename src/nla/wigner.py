@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fock import DensityMatrix, FockCutoff, PureState, State
+from .fock import DensityMatrix, PureState, State, normalized_density
 from .errors import GridError
 from .homodyne import quadrature_wavefunctions
 
@@ -79,15 +79,6 @@ def default_axes(halfwidth: float = 8.0, points: int = 201) -> np.ndarray:
     return np.linspace(-halfwidth, halfwidth, points)
 
 
-def _as_matrix(state: State) -> tuple[np.ndarray, FockCutoff]:
-    if isinstance(state, PureState):
-        rho = state.to_density()
-        return rho.elements, rho.cutoff
-    if isinstance(state, DensityMatrix):
-        return state.elements / state.trace, state.cutoff
-    raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
-
-
 def _wigner_grid(rho: np.ndarray, x_axis: np.ndarray, p_axis: np.ndarray) -> np.ndarray:
     """W[i, j] = W(x_axis[i], p_axis[j]) for a uniform x_axis and any p_axis.
 
@@ -124,7 +115,7 @@ def wigner_values(state: State, x_axis: np.ndarray, p_axis: np.ndarray) -> np.nd
     strictly increasing and uniform; the p axis may be any set of points."""
     x = np.asarray(x_axis, dtype=np.float64)
     _check_uniform(x, "x axis")
-    rho, _ = _as_matrix(state)
+    rho = normalized_density(state).elements
     return _wigner_grid(rho, x, np.asarray(p_axis, dtype=np.float64))
 
 
@@ -199,7 +190,7 @@ def wigner_marginal(
     u = np.asarray(x_values, dtype=np.float64)
     # W(u cos theta - s sin theta, u sin theta + s cos theta) is the W of the
     # state turned by pi/2 - theta, taken at x = -s, p = u.
-    rho, _ = _as_matrix(phase_shift(state, np.pi / 2.0 - theta))
+    rho = normalized_density(phase_shift(state, np.pi / 2.0 - theta)).elements
     values = _wigner_grid(rho, -s[::-1], u)[::-1]
     return np.trapezoid(values, s, axis=0)
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from nla import fock, physical
+from nla import fock, homodyne, physical
 from nla.errors import TruncationError
 from nla.fock import FockCutoff
 
@@ -11,7 +13,10 @@ def two_mode_unitary(generator_scale, kind, dim):
     """Dense two-mode unitary on a dim x dim Fock grid via matrix exponential.
 
     kind "squeezer": exp[s (ad bd - a b)]; kind "beamsplitter": exp[t (ad b - a bd)].
-    Independent oracle for the series/binomial constructions in nla.physical.
+    Independent oracle for the closed-form Kraus bands in nla.physical. The
+    grid truncates the generator itself: the beam splitter conserves photon
+    number and is exact on the states it reaches from an ancilla vacuum, but
+    the squeezer is not, so its oracle runs at 3x the signal dimension.
     """
     a = np.diag(np.sqrt(np.arange(1, dim)), 1)
     ad = a.conj().T
@@ -32,6 +37,34 @@ def herald_on_ancilla(joint_rho, dim, click):
         reduced = rho[:, 0, :, 0]
     prob = float(np.trace(reduced).real)
     return reduced / prob, prob
+
+
+def addition_oracle(amplitudes, lam):
+    """Squeezer click state on the first dim levels, renormalized, and the
+    full click probability, from the unitary at 3x the signal dimension."""
+    dim = amplitudes.size
+    big = 3 * dim
+    padded = np.zeros(big, dtype=complex)
+    padded[:dim] = amplitudes / np.linalg.norm(amplitudes)
+    joint = two_mode_unitary(lam, "squeezer", big) @ np.kron(padded, np.eye(big)[0])
+    clicked, prob = herald_on_ancilla(np.outer(joint, joint.conj()), big, click=True)
+    block = clicked[:dim, :dim]
+    return block / np.trace(block).real, prob
+
+
+def headroom_ket(alpha, dim):
+    """Coherent amplitudes of |alpha> on all but the top three of dim levels."""
+    amps = np.zeros(dim, dtype=complex)
+    amps[0] = np.exp(-0.5 * alpha**2)
+    for n in range(dim - 4):
+        amps[n + 1] = amps[n] * alpha / np.sqrt(n + 1.0)
+    return fock.PureState(amps, FockCutoff(dim - 1))
+
+
+alphas = st.floats(0.0, 1.0)
+squeezings = st.floats(1e-3, 0.3)
+reflectivities = st.floats(1e-3, 0.5, exclude_max=True)
+dims = st.integers(4, 10)
 
 
 class TestHeraldedAddition:
@@ -56,12 +89,18 @@ class TestHeraldedAddition:
         psi = fock.coherent_state(0.4, cut)
         res = physical.heralded_addition(psi, lam)
 
-        u = two_mode_unitary(lam, "squeezer", dim)
-        joint = u @ np.kron(psi.amplitudes, np.eye(dim)[0])
-        joint_rho = np.outer(joint, joint.conj())
-        expected, prob = herald_on_ancilla(joint_rho, dim, click=True)
+        expected, prob = addition_oracle(psi.amplitudes, lam)
         assert abs(res.success_prob - prob) < 1e-10
         assert np.max(np.abs(res.state.elements - expected)) < 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(alphas, squeezings, dims)
+    def test_matches_oracle_property(self, alpha, lam, dim):
+        psi = headroom_ket(alpha, dim)
+        res = physical.heralded_addition(psi, lam)
+        expected, prob = addition_oracle(psi.amplitudes, lam)
+        assert abs(res.success_prob - prob) < 1e-12
+        assert np.max(np.abs(res.state.elements - expected)) < 1e-12
 
     def test_click_and_no_click_recombine(self):
         dim = 12
@@ -157,8 +196,6 @@ class TestHeraldedSubtraction:
         assert np.max(np.abs(res.state.elements - expected)) < 1e-9
 
     def test_unconditional_map_is_loss_channel(self):
-        from nla import homodyne
-
         cut = FockCutoff(20)
         psi = fock.coherent_state(0.6, cut)
         reflectivity = 0.15
@@ -176,6 +213,20 @@ class TestHeraldedSubtraction:
         lossy = homodyne.loss_channel(psi, 1.0 - reflectivity)
         assert np.max(np.abs(recombined - lossy.elements)) < 1e-10
 
+        # a random full-rank mixed input: the no-click branch is K rho K with
+        # K = diag((1-R)^{n/2})
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(21, 21)) + 1j * rng.normal(size=(21, 21))
+        rho = z @ z.conj().T
+        mixed = fock.DensityMatrix(rho / np.trace(rho).real, cut)
+        res = physical.heralded_subtraction(mixed, reflectivity)
+        keep = np.sqrt(1.0 - reflectivity) ** np.arange(21)
+        noclick = keep[:, None] * mixed.elements * keep
+        assert abs(res.success_prob + np.trace(noclick).real - 1.0) < 1e-12
+        recombined = res.success_prob * res.state.elements + noclick
+        lossy = homodyne.loss_channel(mixed, 1.0 - reflectivity)
+        assert np.max(np.abs(recombined - lossy.elements)) < 1e-12
+
     def test_parameter_validation(self):
         cut = FockCutoff(20)
         with pytest.raises(ValueError):
@@ -185,6 +236,20 @@ class TestHeraldedSubtraction:
 
 
 class TestPhysicalAmplifier:
+    @given(alphas, squeezings, reflectivities, dims)
+    def test_click_and_no_click_probabilities_sum_to_one(self, alpha, lam, reflectivity, dim):
+        psi = headroom_ket(alpha, dim)
+        n = np.arange(dim)
+        added = physical.heralded_addition(psi, lam)
+        weights = np.abs(psi.amplitudes) ** 2
+        no_click = np.sum(weights / np.cosh(lam) ** (2 * n + 2)) / np.sum(weights)
+        assert abs(added.success_prob + no_click - 1.0) < 1e-12
+
+        subtracted = physical.heralded_subtraction(added.state, reflectivity)
+        populations = added.state.elements.diagonal().real
+        no_click = np.sum(populations * (1.0 - reflectivity) ** n)
+        assert abs(subtracted.success_prob + no_click - 1.0) < 1e-12
+
     def test_vacuum_input_returns_near_vacuum(self):
         res = physical.physical_amplifier(0.0, 0.01, 0.05)
         cut = res.state.cutoff
