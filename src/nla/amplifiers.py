@@ -16,23 +16,6 @@ import numpy as np
 from . import fock
 from .fock import FockCutoff, PureState, State
 
-_SCHEMES = ("ideal-g", "quantum-scissors")
-
-
-@dataclass(frozen=True)
-class AmplifierSpec:
-    """Scheme tag plus nominal gain g > 1."""
-
-    scheme: str
-    g: float
-
-    def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        if not self.g > 1.0:
-            raise ValueError(f"nominal gain must exceed 1, got {self.g}")
-
-
 @dataclass(frozen=True)
 class AmplifierReport:
     """Figures of merit of one amplifier at one input amplitude.
@@ -56,16 +39,6 @@ class AmplifierReport:
             raise ValueError("variances must be positive")
 
 
-def g_operator(g: float, cutoff: FockCutoff) -> np.ndarray:
-    """Diagonal amplification operator with entries (g-1) n + 1.
-
-    At g = 2 this reduces to n + 1 = a a^dag; at g = 1 it is the identity.
-    """
-    if g < 1.0:
-        raise ValueError(f"gain must be >= 1, got {g}")
-    return np.diag((g - 1.0) * np.arange(cutoff.dim) + 1.0).astype(np.complex128)
-
-
 def amplify_ideal(state: PureState, g: float) -> PureState:
     """Apply the diagonal amplification operator; output is unnormalized.
 
@@ -76,11 +49,6 @@ def amplify_ideal(state: PureState, g: float) -> PureState:
         raise ValueError(f"gain must be >= 1, got {g}")
     weights = (g - 1.0) * np.arange(state.dim) + 1.0
     return PureState(state.amplitudes * weights, state.cutoff)
-
-
-def success_weight(state: PureState, g: float) -> float:
-    """<G^2> of the input state: squared norm gained by amplify_ideal."""
-    return amplify_ideal(state, g).norm_squared / state.norm_squared
 
 
 def effective_gain_analytic(g: float, alpha_abs: float) -> float:

@@ -204,8 +204,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
 def _write_rho(rho: fock.DensityMatrix, path: Path, extra: dict | None = None) -> Path:
     payload = {
         "n_max": rho.cutoff.n_max,
-        "real": [[float(v) for v in row] for row in rho.elements.real],
-        "imag": [[float(v) for v in row] for row in rho.elements.imag],
+        "real": rho.elements.real.tolist(),
+        "imag": rho.elements.imag.tolist(),
     }
     if extra:
         payload.update(extra)
@@ -257,7 +257,7 @@ def run_curves(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     """Figure-of-merit curves vs |alpha| for the addition/subtraction scheme
     and the quantum-scissors rival at the configured nominal gain."""
     alphas = np.arange(0.0, config.alphas[-1] + 0.5 * config.alpha_step, config.alpha_step)
-    cutoff = fock.default_cutoff(alphas[-1], g=config.g)
+    cutoff = _cutoff(config, alphas[-1])
     rows = []
     for alpha in alphas:
         alpha = float(alpha)

@@ -3,8 +3,9 @@
 Detection efficiency eta is applied as a pre-measurement loss channel on the
 state (beam splitter with vacuum, ancilla traced out); quadrature probability
 densities come from the real oscillator wavefunctions scaled so that the
-vacuum density is the standard normal; sampling is inverse-CDF on a cached
-dense grid, deterministic under a seed with per-phase subseeds.
+vacuum density is the standard normal, through one real contraction that
+both sampling and MaxLik use; sampling is inverse-CDF on a dense grid built
+once per state, deterministic under a seed with per-phase subseeds.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import fock
-from .fock import DensityMatrix, FockCutoff, PureState, State
+from .fock import DensityMatrix, PureState, State
 from .errors import EstimationError, GridError
 
 _MAX_PDF_SPACING = 0.02
@@ -132,18 +133,23 @@ def loss_channel(state: State, eta: float) -> DensityMatrix:
     return DensityMatrix(out, cutoff)
 
 
-def loss_channel_adjoint(operator: np.ndarray, eta: float, cutoff: FockCutoff) -> np.ndarray:
-    """Heisenberg-picture loss map, the adjoint of loss_channel (unital)."""
-    out = LossMap(eta, cutoff.dim).adjoint(np.asarray(operator, dtype=np.complex128))
-    return 0.5 * (out + out.conj().T)
+def phase_rotated(rho: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Re(rho_mn e^{i(n-m) theta}) for phase = e^{i n theta}.
+
+    The real matrix R_theta with p(x|theta) = psi(x)^T R_theta psi(x): the
+    imaginary part of the rotated rho is antisymmetric and drops out of the
+    contraction with the real wavefunctions.
+    """
+    return (rho * np.outer(phase.conj(), phase)).real
 
 
 def quadrature_pdf(state: State, theta: float, x_grid: np.ndarray) -> np.ndarray:
     """p(x|theta) of the normalized state on the given grid.
 
-    p(x|theta) = sum_{mn} rho_mn e^{i(n-m) theta} psi_m(x) psi_n(x); the grid
-    must be dense (spacing <= 0.02) and wide enough that the density
-    integrates to 1 within 1e-6.
+    p(x|theta) = sum_{mn} rho_mn e^{i(n-m) theta} psi_m(x) psi_n(x), the
+    contraction of :func:`phase_rotated` that MaxLik fits. The grid must be
+    dense (spacing <= 0.02) and wide enough that the density integrates to 1
+    within 1e-6.
     """
     x_grid = np.asarray(x_grid, dtype=np.float64)
     if x_grid.size < 2:
@@ -155,10 +161,8 @@ def quadrature_pdf(state: State, theta: float, x_grid: np.ndarray) -> np.ndarray
         )
     rho = fock.normalized_density(state)
     psi = quadrature_wavefunctions(x_grid, rho.cutoff.n_max)
-    phases = np.exp(1j * theta * np.arange(rho.dim))
-    phi = phases[:, None] * psi
-    pdf = np.einsum("nj,nm,mj->j", phi.conj(), rho.elements, phi).real
-    pdf = np.maximum(pdf, 0.0)
+    rotated = phase_rotated(rho.elements, np.exp(1j * theta * np.arange(rho.dim)))
+    pdf = np.maximum(np.einsum("nj,nj->j", psi, rotated @ psi), 0.0)
     total = float(np.trapezoid(pdf, x_grid))
     if abs(total - 1.0) > _PDF_NORM_TOL:
         raise GridError(
@@ -269,9 +273,9 @@ def sample_quadratures(
     """Monte-Carlo homodyne record of the state seen through efficiency eta.
 
     The loss channel is applied first, then each phase is sampled by
-    inverse-CDF lookup on a dense cached grid (spacing 0.01, linear
-    interpolation). Per-phase streams are seeded by (seed, phase index), so
-    the dataset is bit-reproducible and phase order independent.
+    inverse-CDF lookup on one dense grid shared by all phases (spacing 0.01,
+    linear interpolation). Per-phase streams are seeded by (seed, phase
+    index), so the dataset is bit-reproducible and phase order independent.
     """
     if counts_per_phase < 1:
         raise ValueError("counts_per_phase must be >= 1")

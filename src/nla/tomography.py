@@ -31,13 +31,7 @@ import numpy as np
 
 from . import fock
 from .fock import DensityMatrix, FockCutoff
-from .homodyne import (
-    LossMap,
-    QuadratureDataset,
-    loss_channel,
-    loss_channel_adjoint,
-    quadrature_wavefunctions,
-)
+from .homodyne import LossMap, QuadratureDataset, phase_rotated, quadrature_wavefunctions
 from .errors import ConvergenceError
 
 _PROB_FLOOR = 1e-300
@@ -73,36 +67,16 @@ class ReconstructionResult:
     converged: bool
 
 
-def _projector_vectors(theta: np.ndarray, x: np.ndarray, cutoff: FockCutoff) -> np.ndarray:
-    """Columns phi_j with phi_j[n] = e^{i n theta_j} psi_n(x_j)."""
-    psi = quadrature_wavefunctions(np.asarray(x, dtype=np.float64), cutoff.n_max)
-    n = np.arange(cutoff.dim)
-    return np.exp(1j * np.outer(n, theta)) * psi
-
-
-def measurement_operator(theta: float, x: float, eta: float, cutoff: FockCutoff) -> np.ndarray:
-    """POVM density for one homodyne outcome, efficiency folded in.
-
-    Pi(x, theta; eta) is the rank-one projector density onto the quadrature
-    eigenfunctional pre-composed with the adjoint of the loss channel; it is
-    Hermitian PSD and integrates over x to the identity for each phase.
-    """
-    phi = _projector_vectors(np.array([theta]), np.array([x]), cutoff)[:, 0]
-    proj = np.outer(phi, phi.conj())
-    if eta == 1.0:
-        return proj
-    return loss_channel_adjoint(proj, eta, cutoff)
-
-
 class _Likelihood:
     """Log-likelihood of one dataset and its gradient operator, built once.
 
     Calling it maps rho to (logL, E^dag(S)) with S = sum_j phi_j phi_j^dag / p_j
-    (R(rho) before its 1/N) and p_j = phi_j^dag E(rho) phi_j. The phase factor
-    of phi_j is a diagonal pulled out of the projector, so p_j =
-    psi_j^T Re(A_theta) psi_j with A_theta the phase-rotated E(rho), and the
-    per-record contractions run in real arithmetic; one inner operator per
-    phase accumulates across its tiles.
+    (R(rho) before its 1/N), phi_j[n] = e^{i n theta_j} psi_n(x_j) and
+    p_j = phi_j^dag E(rho) phi_j. The phase factor of phi_j is a diagonal
+    pulled out of the projector, so p_j = psi_j^T R_theta psi_j with R_theta
+    the real homodyne.phase_rotated(E(rho)), the density quadrature_pdf
+    computes, and the per-record contractions run in real arithmetic; one
+    inner operator per phase accumulates across its tiles.
     """
 
     def __init__(self, theta: np.ndarray, x: np.ndarray, eta: float, cutoff: FockCutoff):
@@ -124,7 +98,7 @@ class _Likelihood:
         s = np.zeros_like(rho_eta)
         ll = 0.0
         for phase, tiles in self._phases:
-            rotated = (rho_eta * np.outer(phase.conj(), phase)).real
+            rotated = phase_rotated(rho_eta, phase)
             inner = np.zeros(rotated.shape)
             for psi in tiles:
                 probs = np.maximum(np.einsum("nj,nj->j", psi, rotated @ psi), _PROB_FLOOR)
@@ -201,17 +175,6 @@ def maxlik_reconstruct(
         iterations_used=iterations,
         converged=converged,
     )
-
-
-def predicted_pdf(
-    rho: DensityMatrix, theta: float, x_grid: np.ndarray, eta: float
-) -> np.ndarray:
-    """Model density Tr[Pi(x, theta; eta) rho] on a grid (vectorized)."""
-    lossy = loss_channel(rho, eta) if eta < 1.0 else rho.normalized()
-    phi = _projector_vectors(
-        np.full(np.asarray(x_grid).size, theta), np.asarray(x_grid), rho.cutoff
-    )
-    return np.einsum("nj,nm,mj->j", phi.conj(), lossy.elements, phi).real
 
 
 def amplified_fidelity_diagnostic(rho_rec: DensityMatrix, alpha: complex) -> float:

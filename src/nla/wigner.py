@@ -22,7 +22,6 @@ outside that support.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -195,33 +194,14 @@ def wigner_marginal(
     return np.trapezoid(values, s, axis=0)
 
 
-def save_wigner_csv(grid: WignerGrid, path: str | Path) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "p", "value"])
-        for i, x in enumerate(grid.x_axis):
-            for j, p in enumerate(grid.p_axis):
-                writer.writerow([repr(float(x)), repr(float(p)), repr(float(grid.values[i, j]))])
-    return path
-
-
 def save_wigner_json(grid: WignerGrid, path: str | Path, extra: dict | None = None) -> Path:
     path = Path(path)
     payload = {
-        "x_axis": [float(v) for v in grid.x_axis],
-        "p_axis": [float(v) for v in grid.p_axis],
-        "values": [float(v) for v in grid.values.ravel()],
+        "x_axis": grid.x_axis.tolist(),
+        "p_axis": grid.p_axis.tolist(),
+        "values": grid.values.ravel().tolist(),
     }
     if extra:
         payload.update(extra)
     path.write_text(json.dumps(payload, sort_keys=True) + "\n")
     return path
-
-
-def load_wigner_json(path: str | Path) -> WignerGrid:
-    payload = json.loads(Path(path).read_text())
-    x = np.array(payload["x_axis"])
-    p = np.array(payload["p_axis"])
-    values = np.array(payload["values"]).reshape(x.size, p.size)
-    return WignerGrid(x, p, values)

@@ -98,6 +98,12 @@ class TestCurves:
         assert len(manifest["config_sha256"]) == 64
         assert "numpy" in manifest["versions"]
 
+    def test_configured_cutoff_too_small(self, tmp_path, capsys):
+        path = write_config(tmp_path, alphas=[1.5], alpha_step=0.05, cutoff=8)
+        assert cli.main(["curves", "--config", str(path)]) == 3
+        assert "cutoff n_max=8 too small" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "curves.csv").exists()
+
 
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import eval_hermite, gammaln
 
-from nla import fock, homodyne
+from nla import amplifiers, fock, homodyne
 from nla.errors import EstimationError, GridError
 from nla.fock import FockCutoff
 from reference_impl import dense_loss
@@ -154,6 +154,11 @@ class TestQuadraturePdf:
     def test_coherent_gaussian(self):
         pdf = homodyne.quadrature_pdf(fock.coherent_state(0.5, CUT), 0.0, GRID)
         assert np.max(np.abs(pdf - gaussian(GRID, 1.0, 1.0))) < 1e-10
+        # mean 2|alpha| cos(theta - arg alpha) pins the sign of the rotation
+        alpha, theta = 0.5 * np.exp(1.1j), 0.4
+        pdf = homodyne.quadrature_pdf(fock.coherent_state(alpha, CUT), theta, GRID)
+        mean = 2.0 * abs(alpha) * np.cos(theta - np.angle(alpha))
+        assert np.max(np.abs(pdf - gaussian(GRID, mean, 1.0))) < 1e-10
 
     def test_single_photon_shape_and_variance(self):
         pdf = homodyne.quadrature_pdf(fock.fock_state(1, CUT), 0.3, GRID)
@@ -167,8 +172,13 @@ class TestQuadraturePdf:
             assert abs(np.trapezoid(GRID**2 * pdf, GRID) - (2 * n + 1)) < 1e-8
 
     def test_normalization(self):
-        pdf = homodyne.quadrature_pdf(fock.coherent_state(1.2, FockCutoff(30)), 0.4, GRID)
-        assert abs(np.trapezoid(pdf, GRID) - 1.0) < 1e-6
+        amplified = amplifiers.amplify_ideal(fock.coherent_state(0.4, FockCutoff(10)), 2.0)
+        for state, theta in (
+            (fock.coherent_state(1.2, FockCutoff(30)), 0.4),
+            (homodyne.loss_channel(amplified, 0.6), 0.7),
+        ):
+            pdf = homodyne.quadrature_pdf(state, theta, GRID)
+            assert abs(np.trapezoid(pdf, GRID) - 1.0) < 1e-6
 
     def test_grid_too_coarse(self):
         with pytest.raises(GridError):

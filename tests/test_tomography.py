@@ -23,19 +23,21 @@ def amplified_roundtrip():
     return cutoff, truth, data, result
 
 
+def povm_element(theta, x, eta, cut):
+    """Pi(theta, x) = E^dag(phi phi^dag) as MaxLik sees it: for one record the
+    kernel returns logL = log p and E^dag(S) = Pi / p at any rho with p > 0."""
+    kernel = tomography._Likelihood(np.array([theta]), np.array([x]), eta, cut)
+    ll, grad = kernel(np.eye(cut.dim, dtype=complex) / cut.dim)
+    return np.exp(ll) * grad
+
+
 class TestMeasurementOperator:
     def test_lossless_vacuum_element_is_normal_density(self):
         cut = FockCutoff(12)
         for x in (-1.3, 0.0, 0.7):
-            op = tomography.measurement_operator(0.4, x, 1.0, cut)
+            op = povm_element(0.4, x, 1.0, cut)
             expected = np.exp(-x * x / 2.0) / np.sqrt(2.0 * np.pi)
             assert abs(op[0, 0].real - expected) < 1e-12
-
-    def test_hermitian_psd(self):
-        cut = FockCutoff(12)
-        op = tomography.measurement_operator(0.9, 1.1, 0.6, cut)
-        assert np.max(np.abs(op - op.conj().T)) < 1e-12
-        assert np.linalg.eigvalsh(op)[0] > -1e-12
 
     def test_completeness_by_quadrature(self):
         cut = FockCutoff(10)
@@ -43,18 +45,34 @@ class TestMeasurementOperator:
             fock.coherent_state(0.4, cut), 2.0
         ).to_density()
         grid = np.arange(-12.0, 12.0001, 0.02)
-        total = np.trapezoid(tomography.predicted_pdf(rho, 0.7, grid, 0.6), grid)
-        assert abs(total - 1.0) < 1e-6
+        ops = np.array([povm_element(0.7, x, 0.6, cut) for x in grid])
+        probs = np.einsum("jmn,nm->j", ops, rho.elements).real
+        assert abs(np.trapezoid(probs, grid) - 1.0) < 1e-6
+        # the elements resolve the identity over x at a fixed phase
+        assert np.max(np.abs(np.trapezoid(ops, grid, axis=0) - np.eye(cut.dim))) < 1e-6
 
-    def test_duality_with_loss_channel(self):
+
+class TestForwardModel:
+    @pytest.mark.parametrize("eta", [0.6, 1.0])
+    def test_likelihood_matches_quadrature_pdf(self, eta):
+        # MaxLik fits the density that sampling draws from: its logL at rho is
+        # the sum of log quadrature_pdf of the loss-mapped rho at the records
         cut = FockCutoff(12)
-        rho1 = fock.fock_state(1, cut).to_density()
-        lossy = homodyne.loss_channel(rho1, 0.6)
-        grid = np.arange(-8.0, 8.0001, 0.01)
-        pdf = homodyne.quadrature_pdf(lossy, 0.0, grid)
-        for idx in range(0, grid.size, 200):
-            op = tomography.measurement_operator(0.0, float(grid[idx]), 0.6, cut)
-            assert abs(np.trace(op @ rho1.elements).real - pdf[idx]) < 1e-8
+        rho = fock.normalized_density(
+            amplifiers.amplify_ideal(fock.coherent_state(0.5 * np.exp(0.8j), cut), 2.0)
+        )
+        grid = np.arange(-10.0, 10.0001, 0.01)
+        idx = np.arange(500, 1600, 37)
+        phases = (0.0, 0.7, 2.1)
+        expected = 0.0
+        for theta in phases:
+            pdf = homodyne.quadrature_pdf(homodyne.loss_channel(rho, eta), theta, grid)
+            expected += float(np.sum(np.log(pdf[idx])))
+        kernel = tomography._Likelihood(
+            np.repeat(phases, idx.size), np.tile(grid[idx], len(phases)), eta, cut
+        )
+        ll, _ = kernel(rho.elements)
+        assert abs(ll - expected) <= 1e-12 * abs(expected)
 
 
 class TestMaxlikReconstruct:
@@ -140,7 +158,9 @@ class TestMaxlikReconstruct:
         edges = np.linspace(-5.0, 6.0, 23)
         counts, _ = np.histogram(x, edges)
         centers = 0.5 * (edges[:-1] + edges[1:])
-        model = tomography.predicted_pdf(result.rho, 0.0, centers, 0.6)
+        fine = np.arange(-12.0, 12.0001, 0.01)
+        lossy = homodyne.loss_channel(result.rho, 0.6)
+        model = np.interp(centers, fine, homodyne.quadrature_pdf(lossy, 0.0, fine))
         expected = model * np.diff(edges) * x.size
         mask = expected > 5.0
         chi2 = float(np.sum((counts[mask] - expected[mask]) ** 2 / expected[mask]))

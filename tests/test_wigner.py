@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,18 +246,8 @@ class TestSerialization:
     def test_json_round_trip(self, tmp_path):
         grid = wigner.wigner_function(fock.coherent_state(0.5, CUT))
         path = wigner.save_wigner_json(grid, tmp_path / "w.json")
-        loaded = wigner.load_wigner_json(path)
-        assert np.array_equal(loaded.values, grid.values)
-        assert np.array_equal(loaded.x_axis, grid.x_axis)
-
-    def test_csv_contents(self, tmp_path):
-        axes = np.linspace(-8.0, 8.0, 41)
-        grid = wigner.WignerGrid(
-            axes, axes, wigner.wigner_values(fock.vacuum_state(CUT), axes, axes)
-        )
-        path = wigner.save_wigner_csv(grid, tmp_path / "w.csv")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,p,value"
-        assert len(lines) == 1 + 41 * 41
-        first = lines[1].split(",")
-        assert float(first[0]) == -8.0 and float(first[1]) == -8.0
+        payload = json.loads(path.read_text())
+        x_axis = np.array(payload["x_axis"])
+        values = np.array(payload["values"]).reshape(x_axis.size, len(payload["p_axis"]))
+        assert np.array_equal(values, grid.values)
+        assert np.array_equal(x_axis, grid.x_axis)
