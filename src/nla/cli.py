@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ _PIPELINES = ("curves", "simulate", "reconstruct", "wigner-demo")
 _VACUUM_VARIANCE_SIGMAS = 6.0
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """Validated run parameters; defaults mirror the reference experiment
     profile (g = 2, 5% tap, eta = 0.6, 11 LO phases)."""
@@ -58,6 +58,12 @@ class ExperimentConfig:
     reconstruct_tag: str = "amplified"
 
     def __post_init__(self):
+        for name in ("seed", "phases", "samples", "cutoff", "max_iters", "grid_points"):
+            value = getattr(self, name)
+            if value is None and name in ("seed", "cutoff"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.pipeline not in _PIPELINES:
             raise ConfigError(f"pipeline must be one of {_PIPELINES}, got {self.pipeline!r}")
         if not self.alphas:
@@ -96,30 +102,13 @@ class ExperimentConfig:
         return max(1, self.samples // self.phases)
 
     def to_dict(self) -> dict:
-        return {
-            "pipeline": self.pipeline,
-            "alphas": list(self.alphas),
-            "g": self.g,
-            "lambda": self.lam,
-            "R": self.reflectivity,
-            "eta": self.eta,
-            "phases": self.phases,
-            "samples": self.samples,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "cutoff": self.cutoff,
-            "max_iters": self.max_iters,
-            "ll_tol": self.ll_tol,
-            "diag_tol": self.diag_tol,
-            "grid_points": self.grid_points,
-            "grid_halfwidth": self.grid_halfwidth,
-            "alpha_step": self.alpha_step,
-            "dataset": self.dataset,
-            "reconstruct_tag": self.reconstruct_tag,
-        }
+        """The config under its JSON keys, as config_from_dict reads it."""
+        fields = dataclasses.asdict(self)
+        return {_JSON_KEY.get(name, name): value for name, value in fields.items()}
 
 
 _KEY_MAP = {"lambda": "lam", "R": "reflectivity"}
+_JSON_KEY = {name: key for key, name in _KEY_MAP.items()}
 
 
 def config_from_dict(raw: dict, pipeline: str | None = None) -> ExperimentConfig:

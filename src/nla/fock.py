@@ -31,8 +31,6 @@ CREATION_HEADROOM_TOL = 1e-12
 
 _ZERO_NORM = 1e-30
 
-VACUUM_QUADRATURE_VARIANCE = 1.0  # shot-noise unit anchor of the convention
-
 
 @dataclass(frozen=True)
 class FockCutoff:

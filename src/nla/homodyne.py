@@ -13,8 +13,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 from scipy.special import gammaln
@@ -180,15 +183,14 @@ def default_x_grid(state: State, spacing: float = _SAMPLING_SPACING) -> np.ndarr
 
 @dataclass(frozen=True)
 class QuadratureDataset:
-    """Phase-tagged homodyne samples plus the acquisition metadata.
+    """Homodyne records plus the acquisition metadata.
 
-    Every (tag, theta) pair holds exactly counts_per_phase records, with
-    theta drawn from the declared phase grid.
+    records maps each tag to one read-only float64 block of shape
+    (phases.size, counts_per_phase): row k holds the records taken at
+    phases[k], in acquisition order.
     """
 
-    theta: np.ndarray
-    x: np.ndarray
-    tag: np.ndarray
+    records: Mapping[str, np.ndarray]
     phases: np.ndarray
     eta: float
     seed: int
@@ -196,54 +198,56 @@ class QuadratureDataset:
     description: str = ""
 
     def __post_init__(self):
-        theta = np.array(self.theta, dtype=np.float64, copy=True)
-        x = np.array(self.x, dtype=np.float64, copy=True)
-        tag = np.array(self.tag, dtype=object, copy=True)
-        phases = np.array(self.phases, dtype=np.float64, copy=True)
-        if not theta.shape == x.shape == tag.shape:
-            raise ValueError("theta, x, tag must have identical shapes")
+        phases = np.array(self.phases, dtype=np.float64)
+        records = {tag: np.array(block, dtype=np.float64) for tag, block in self.records.items()}
+        if phases.ndim != 1 or phases.size == 0 or np.unique(phases).size != phases.size:
+            raise ValueError("phases must be a non-empty 1-D grid of distinct values")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"efficiency must lie in (0, 1], got {self.eta}")
         if self.counts_per_phase < 1:
             raise ValueError("counts_per_phase must be >= 1")
-        phase_set = set(phases.tolist())
-        for t in sorted(set(tag.tolist())):
-            seen, counts = np.unique(theta[tag == t], return_counts=True)
-            if not set(seen.tolist()) <= phase_set:
-                raise ValueError(f"tag {t!r} contains phases outside the declared grid")
-            for ph, count in zip(seen.tolist(), counts.tolist()):
-                if count != self.counts_per_phase:
-                    raise ValueError(
-                        f"tag {t!r} phase {ph!r} does not hold counts_per_phase records"
-                    )
-        for arr in (theta, x, tag, phases):
-            arr.flags.writeable = False
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "tag", tag)
+        shape = (phases.size, self.counts_per_phase)
+        for tag, block in records.items():
+            if block.shape != shape:
+                raise ValueError(f"tag {tag!r} block has shape {block.shape}, expected {shape}")
+            block.flags.writeable = False
+        phases.flags.writeable = False
+        object.__setattr__(self, "records", MappingProxyType(records))
         object.__setattr__(self, "phases", phases)
 
     @property
     def n_records(self) -> int:
-        return self.x.size
+        return len(self.records) * self.phases.size * self.counts_per_phase
+
+    @property
+    def theta(self) -> np.ndarray:
+        """Phase of every record, in the row order of :attr:`x`."""
+        return np.tile(np.repeat(self.phases, self.counts_per_phase), len(self.records))
+
+    @property
+    def x(self) -> np.ndarray:
+        """Every record flattened tag by tag, then phase by phase."""
+        return np.concatenate([np.empty(0)] + [b.ravel() for b in self.records.values()])
 
     def select(self, tag: str, theta: float | None = None) -> np.ndarray:
         """x values of one tag, optionally restricted to one phase."""
-        mask = self.tag == tag
-        if theta is not None:
-            mask &= np.isclose(self.theta, theta, rtol=0.0, atol=1e-12)
-        return self.x[mask]
+        block = self.records.get(tag)
+        if block is None:
+            return np.empty(0)
+        rows = slice(None) if theta is None else np.abs(self.phases - theta) <= 1e-12
+        return block[rows].ravel()
 
     def merged_with(self, other: "QuadratureDataset") -> "QuadratureDataset":
-        """Concatenate records of two same-profile acquisitions (distinct tags)."""
+        """Union of the records of two same-profile acquisitions (distinct tags)."""
         if other.eta != self.eta or other.counts_per_phase != self.counts_per_phase:
             raise ValueError("datasets must share eta and counts_per_phase to merge")
         if not np.array_equal(other.phases, self.phases):
             raise ValueError("datasets must share the phase grid to merge")
+        shared = sorted(self.records.keys() & other.records.keys())
+        if shared:
+            raise ValueError(f"datasets to merge both hold tag {shared[0]!r}")
         return QuadratureDataset(
-            theta=np.concatenate([self.theta, other.theta]),
-            x=np.concatenate([self.x, other.x]),
-            tag=np.concatenate([self.tag, other.tag]),
+            records={**self.records, **other.records},
             phases=self.phases,
             eta=self.eta,
             seed=self.seed,
@@ -282,17 +286,13 @@ def sample_quadratures(
     phases = np.asarray(phases, dtype=np.float64)
     lossy = loss_channel(state, eta)
     grid = default_x_grid(lossy)
-    xs, thetas = [], []
+    block = np.empty((phases.size, counts_per_phase))
     for k, theta in enumerate(phases):
         pdf = quadrature_pdf(lossy, theta, grid)
         rng = np.random.default_rng([seed, k])
-        u = rng.random(counts_per_phase)
-        xs.append(_inverse_cdf_sample(pdf, grid, u))
-        thetas.append(np.full(counts_per_phase, theta))
+        block[k] = _inverse_cdf_sample(pdf, grid, rng.random(counts_per_phase))
     return QuadratureDataset(
-        theta=np.concatenate(thetas),
-        x=np.concatenate(xs),
-        tag=np.array([tag] * counts_per_phase * phases.size, dtype=object),
+        records={tag: block},
         phases=phases,
         eta=eta,
         seed=seed,
@@ -354,26 +354,20 @@ def save_dataset_csv(
     repr so the round trip is bit-exact. extra_meta entries (e.g. provenance
     hashes) are merged into the sidecar.
 
-    The bytes are those of csv.writer: each distinct tag is quoted once by
-    it and rows are formatted in chunks of _CSV_CHUNK, which bounds the
-    memory the formatted text holds."""
+    Rows run tag by tag, then phase by phase, and the bytes are those of
+    csv.writer: each tag is quoted once by it, each phase's theta prefix is
+    formatted once, and records are formatted in chunks of _CSV_CHUNK, which
+    bounds the memory the formatted text holds."""
     path = Path(path)
-    tags = dataset.tag.tolist()
-    fields = {tag: _csv_tag_field(tag) for tag in set(tags)}
     with path.open("w", newline="") as fh:
         fh.write("theta,x,tag\r\n")
-        for start in range(0, len(tags), _CSV_CHUNK):
-            stop = start + _CSV_CHUNK
-            fh.write(
-                "".join(
-                    f"{t!r},{x!r},{fields[tag]}\r\n"
-                    for t, x, tag in zip(
-                        dataset.theta[start:stop].tolist(),
-                        dataset.x[start:stop].tolist(),
-                        tags[start:stop],
-                    )
-                )
-            )
+        for tag, block in dataset.records.items():
+            suffix = f",{_csv_tag_field(tag)}\r\n"
+            for theta, row in zip(dataset.phases.tolist(), block):
+                prefix = f"{theta!r},"
+                for start in range(0, row.size, _CSV_CHUNK):
+                    chunk = row[start : start + _CSV_CHUNK].tolist()
+                    fh.write(prefix + (suffix + prefix).join(map(repr, chunk)) + suffix)
     meta = {
         "eta": dataset.eta,
         "seed": dataset.seed,
@@ -389,25 +383,42 @@ def save_dataset_csv(
 
 
 def load_dataset_csv(path: str | Path) -> QuadratureDataset:
+    """Read a dataset written by :func:`save_dataset_csv`.
+
+    Rows may come in any order; they are grouped stably by (tag, theta).
+    Every tag must hold exactly counts_per_phase records at each declared
+    phase and none elsewhere; tags are checked in sorted order and phases in
+    ascending order, and the first violation raises ValueError.
+    """
     path = Path(path)
-    thetas, xs, tags = [], [], []
+    meta = json.loads(path.with_suffix(path.suffix + ".meta.json").read_text())
+    phases = [float(p) for p in meta["phases"]]
+    counts = meta["counts_per_phase"]
+    groups: dict[str, dict[float, array]] = {}
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header != ["theta", "x", "tag"]:
             raise ValueError(f"unexpected CSV header {header!r}")
-        for row in reader:
-            thetas.append(float(row[0]))
-            xs.append(float(row[1]))
-            tags.append(row[2])
-    meta = json.loads(path.with_suffix(path.suffix + ".meta.json").read_text())
+        for theta, x, tag in reader:
+            groups.setdefault(tag, {}).setdefault(float(theta), array("d")).append(float(x))
+    for tag in sorted(groups):
+        by_phase = groups[tag]
+        if not by_phase.keys() <= set(phases):
+            raise ValueError(f"tag {tag!r} contains phases outside the declared grid")
+        for ph in sorted(phases):
+            if len(by_phase.get(ph, ())) != counts:
+                raise ValueError(
+                    f"tag {tag!r} phase {ph!r} does not hold counts_per_phase records"
+                )
     return QuadratureDataset(
-        theta=np.array(thetas),
-        x=np.array(xs),
-        tag=np.array(tags, dtype=object),
-        phases=np.array(meta["phases"]),
+        records={
+            tag: np.stack([np.frombuffer(by_phase[ph]) for ph in phases])
+            for tag, by_phase in groups.items()
+        },
+        phases=np.array(phases),
         eta=meta["eta"],
         seed=meta["seed"],
-        counts_per_phase=meta["counts_per_phase"],
+        counts_per_phase=counts,
         description=meta.get("description", ""),
     )

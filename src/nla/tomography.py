@@ -79,14 +79,13 @@ class _Likelihood:
     inner operator per phase accumulates across its tiles.
     """
 
-    def __init__(self, theta: np.ndarray, x: np.ndarray, eta: float, cutoff: FockCutoff):
+    def __init__(self, phases: np.ndarray, block: np.ndarray, eta: float, cutoff: FockCutoff):
         d = cutoff.dim
         cols = max(256, _TILE_BYTES // (8 * d))
         n = np.arange(d)
         self._loss = LossMap(eta, d)
         self._phases = []
-        for ph in np.unique(theta):
-            xs = x[theta == ph]
+        for ph, xs in zip(phases, block):
             tiles = [
                 quadrature_wavefunctions(xs[start : start + cols], cutoff.n_max)
                 for start in range(0, xs.size, cols)
@@ -121,16 +120,12 @@ def maxlik_reconstruct(
     the likelihood gain per sample drops below ll_tol, the largest diagonal
     change drops below diag_tol, or max_iters is hit.
     """
-    if tag is not None:
-        mask = data.tag == tag
-        theta, x = data.theta[mask], data.x[mask]
-    else:
-        theta, x = data.theta, data.x
-    n_samples = x.size
-    if n_samples == 0:
+    blocks = [block for name, block in data.records.items() if tag in (None, name)]
+    if not blocks:
         raise ValueError("no quadrature records to reconstruct from")
-    unique_phases = np.unique(theta)
-    if unique_phases.size < 2:
+    block = np.concatenate(blocks, axis=1)
+    n_samples = block.size
+    if data.phases.size < 2:
         warnings.warn(
             "single-phase data: reconstruction captures only phase-averaged "
             "information",
@@ -138,7 +133,7 @@ def maxlik_reconstruct(
         )
 
     d = settings.cutoff.dim
-    likelihood = _Likelihood(theta, x, settings.eta, settings.cutoff)
+    likelihood = _Likelihood(data.phases, block, settings.eta, settings.cutoff)
     rho = np.eye(d, dtype=np.complex128) / d
     ll_trace: list[float] = []
     converged = False

@@ -44,18 +44,15 @@ def dense_loss(rho: np.ndarray, eta: float) -> np.ndarray:
 
 def reference_maxlik(data, settings, *, tag=None) -> tomography.ReconstructionResult:
     """maxlik_reconstruct with the same update, checks and stopping rules."""
-    if tag is not None:
-        mask = data.tag == tag
-        theta, x = data.theta[mask], data.x[mask]
-    else:
-        theta, x = data.theta, data.x
+    chosen = [block for name, block in data.records.items() if tag in (None, name)]
+    x = np.concatenate(chosen, axis=1)
     n_samples = x.size
     d = settings.cutoff.dim
     kraus = dense_loss_kraus(settings.eta, d)
     n = np.arange(d)
     blocks = []
-    for ph in np.unique(theta):
-        psi = quadrature_wavefunctions(x[theta == ph], settings.cutoff.n_max)
+    for ph, xs in zip(data.phases, x):
+        psi = quadrature_wavefunctions(xs, settings.cutoff.n_max)
         blocks.append((np.exp(1j * ph * n), psi))
 
     rho = np.eye(d, dtype=np.complex128) / d

@@ -58,6 +58,15 @@ class TestConfig:
         path = write_config(tmp_path, output_dir=str(blocker / "nested"))
         assert cli.main(["curves", "--config", str(path)]) == 4
 
+    @pytest.mark.parametrize("value", [7.5, "7", True], ids=["float", "string", "true"])
+    @pytest.mark.parametrize(
+        "field", ["seed", "phases", "samples", "max_iters", "cutoff", "grid_points"]
+    )
+    def test_integer_fields_reject_other_types(self, tmp_path, capsys, field, value):
+        path = write_config(tmp_path, **{field: value})
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert f"config error: {field} must be an integer" in capsys.readouterr().err
+
     def test_validation_happens_before_any_computation(self, tmp_path):
         out = tmp_path / "out"
         path = write_config(tmp_path, samples=0, output_dir=str(out))

@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -232,55 +233,85 @@ class TestSampling:
         # deterministic and drawn from the same distribution
         assert got.size == lone.x.size == 200
 
-    def test_dataset_invariants_enforced(self):
+    def test_dataset_invariants_enforced(self, tmp_path):
         with pytest.raises(ValueError):
-            homodyne.QuadratureDataset(
-                theta=np.array([0.0, 0.1]),
-                x=np.array([0.5, 0.2]),
-                tag=np.array(["a", "a"], dtype=object),
-                phases=np.array([0.0]),  # 0.1 not on the declared grid
-                eta=1.0,
-                seed=0,
-                counts_per_phase=1,
-            )
+            _load(tmp_path, [0.0, 0.1], ["a", "a"], phases=[0.0], counts=1)  # 0.1 off the grid
 
 
-def _dataset(theta, tag, phases=(0.0, 0.5), counts=2):
+def _load(tmp_path, theta, tag, phases=(0.0, 0.5), counts=2):
+    """Load theta,x,tag rows written in the given order, with x = 0."""
+    path = tmp_path / "rows.csv"
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["theta", "x", "tag"])
+        for t, name in zip(theta, tag):
+            writer.writerow([repr(float(t)), "0.0", name])
+    meta = {"eta": 1.0, "seed": 0, "counts_per_phase": counts, "phases": list(phases)}
+    path.with_suffix(".csv.meta.json").write_text(json.dumps(meta))
+    return homodyne.load_dataset_csv(path)
+
+
+def _blocks(phases=(0.0, 0.5), counts=2, **records):
     return homodyne.QuadratureDataset(
-        theta=np.array(theta, dtype=np.float64),
-        x=np.zeros(len(theta)),
-        tag=np.array(tag, dtype=object),
-        phases=np.array(phases),
-        eta=1.0,
-        seed=0,
-        counts_per_phase=counts,
+        records=records, phases=np.array(phases), eta=1.0, seed=0, counts_per_phase=counts
     )
 
 
 class TestDatasetValidation:
-    def test_valid_layout_accepted(self):
-        data = _dataset([0.0, 0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.5], ["a"] * 4 + ["b"] * 4)
+    def test_valid_layout_accepted(self, tmp_path):
+        data = _load(tmp_path, [0.0, 0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.5], ["a"] * 4 + ["b"] * 4)
         assert data.n_records == 8
 
-    def test_phase_off_the_grid(self):
+    def test_phase_off_the_grid(self, tmp_path):
         with pytest.raises(ValueError, match=r"^tag 'a' contains phases outside the declared grid$"):
-            _dataset([0.0, 0.0, 0.5, 0.25], ["a"] * 4)
+            _load(tmp_path, [0.0, 0.0, 0.5, 0.25], ["a"] * 4)
 
-    def test_wrong_count(self):
+    def test_wrong_count(self, tmp_path):
         with pytest.raises(
             ValueError, match=r"^tag 'a' phase 0\.5 does not hold counts_per_phase records$"
         ):
-            _dataset([0.0, 0.0, 0.5], ["a"] * 3)
+            _load(tmp_path, [0.0, 0.0, 0.5], ["a"] * 3)
 
-    def test_nan_theta(self):
+    def test_nan_theta(self, tmp_path):
         with pytest.raises(ValueError, match="tag 'a' contains phases outside the declared grid"):
-            _dataset([0.0, 0.0, 0.5, np.nan], ["a"] * 4)
+            _load(tmp_path, [0.0, 0.0, 0.5, np.nan], ["a"] * 4)
 
-    def test_first_bad_tag_in_sorted_order_is_named(self):
+    def test_first_bad_tag_in_sorted_order_is_named(self, tmp_path):
         theta = [0.0, 0.5, 0.5] + [0.0, 0.0, 0.5, 0.5] + [0.0, 0.5, 0.5]
         tag = ["z"] * 3 + ["m"] * 4 + ["b"] * 3
         with pytest.raises(ValueError, match=r"^tag 'b' phase 0\.0 does not hold"):
-            _dataset(theta, tag)
+            _load(tmp_path, theta, tag)
+
+    def test_missing_phase_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^tag 'a' phase 0\.5 does not hold"):
+            _load(tmp_path, [0.0, 0.0], ["a"] * 2)
+
+    def test_block_of_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"^tag 'a' block has shape \(2, 3\), expected"):
+            _blocks(a=np.zeros((2, 3)))
+
+    def test_merge_of_shared_tag_rejected(self):
+        with pytest.raises(ValueError, match="both hold tag 'a'"):
+            _blocks(a=np.zeros((2, 2))).merged_with(_blocks(a=np.ones((2, 2)), b=np.ones((2, 2))))
+
+    def test_blocks_and_mapping_read_only(self):
+        block = np.arange(4.0).reshape(2, 2)
+        data = _blocks(a=block)
+        block[0, 0] = 9.0  # the dataset holds its own copy
+        assert data.records["a"][0, 0] == 0.0
+        with pytest.raises(ValueError):
+            data.records["a"][0, 0] = 1.0
+        with pytest.raises(ValueError):
+            data.phases[0] = 1.0
+        with pytest.raises(TypeError):
+            data.records["b"] = block
+
+    def test_select_reads_block_rows(self):
+        data = _blocks(a=[[1.0, 2.0], [3.0, 4.0]])
+        assert data.select("a").tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert data.select("a", theta=0.5).tolist() == [3.0, 4.0]
+        assert data.select("a", theta=0.25).size == data.select("b").size == 0
+        assert data.theta.tolist() == [0.0, 0.0, 0.5, 0.5]
 
 
 class TestGainFromSamples:
@@ -344,7 +375,7 @@ class TestSerialization:
         loaded = homodyne.load_dataset_csv(path)
         assert np.array_equal(loaded.x, data.x)
         assert np.array_equal(loaded.theta, data.theta)
-        assert list(loaded.tag) == list(data.tag)
+        assert list(loaded.records) == list(data.records)
         assert loaded.eta == data.eta
         assert loaded.seed == data.seed
         assert loaded.counts_per_phase == data.counts_per_phase
@@ -361,11 +392,64 @@ class TestSerialization:
                 )
             )
         path = homodyne.save_dataset_csv(data, tmp_path / "fast.csv")
-        expected = tmp_path / "writer.csv"
-        with expected.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["theta", "x", "tag"])
-            for t, x, tag in zip(data.theta, data.x, data.tag):
-                writer.writerow([repr(float(t)), repr(float(x)), tag])
-        assert path.read_bytes() == expected.read_bytes()
-        assert list(homodyne.load_dataset_csv(path).tag) == list(data.tag)
+        assert path.read_bytes() == _csv_writer_bytes(data, tmp_path / "writer.csv")
+        assert list(homodyne.load_dataset_csv(path).records) == list(data.records)
+
+    def test_row_shuffled_csv_loads_same_blocks(self, tmp_path):
+        data = homodyne.sample_quadratures(
+            fock.coherent_state(0.5, CUT), homodyne.uniform_phases(3), 40, 0.6, 5, tag="input"
+        ).merged_with(
+            homodyne.sample_quadratures(
+                fock.vacuum_state(CUT), homodyne.uniform_phases(3), 40, 0.6, 6, tag="vacuum"
+            )
+        )
+        path = homodyne.save_dataset_csv(data, tmp_path / "records.csv")
+        header, *rows = path.read_text().splitlines(keepends=True)
+        # Interleave the (theta, tag) groups at random; each keeps its own order.
+        groups = {}
+        for row in rows:
+            theta, _, tag = row.split(",")
+            groups.setdefault((theta, tag), []).append(row)
+        keys = [key for key, group in groups.items() for _ in group]
+        np.random.default_rng(0).shuffle(keys)
+        queues = {key: iter(group) for key, group in groups.items()}
+        shuffled = [next(queues[key]) for key in keys]
+        assert shuffled != rows
+        path.write_text(header + "".join(shuffled))
+        loaded = homodyne.load_dataset_csv(path)
+        assert sorted(loaded.records) == sorted(data.records)
+        for tag, block in data.records.items():
+            assert loaded.records[tag].tobytes() == block.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.text(alphabet='a,"', max_size=3), min_size=1, max_size=3, unique=True),
+        st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4, unique=True),
+        st.integers(1, 30),
+        st.randoms(use_true_random=False),
+    )
+    def test_round_trip_property(self, tmp_path_factory, tags, phases, counts, rnd):
+        rng = np.random.default_rng(rnd.getrandbits(32))
+        records = {tag: rng.standard_normal((len(phases), counts)) for tag in tags}
+        data = homodyne.QuadratureDataset(
+            records=records, phases=np.array(phases), eta=0.7, seed=3, counts_per_phase=counts
+        )
+        tmp = tmp_path_factory.mktemp("round_trip")
+        path = homodyne.save_dataset_csv(data, tmp / "records.csv")
+        assert path.read_bytes() == _csv_writer_bytes(data, tmp / "writer.csv")
+        loaded = homodyne.load_dataset_csv(path)
+        assert loaded.phases.tobytes() == data.phases.tobytes()
+        assert list(loaded.records) == tags
+        for tag in tags:
+            assert loaded.records[tag].tobytes() == records[tag].tobytes()
+
+
+def _csv_writer_bytes(data, path):
+    """The dataset's rows as csv.writer writes them: tag by tag, phase by phase."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["theta", "x", "tag"])
+        for tag, block in data.records.items():
+            for theta, row in zip(data.phases, block):
+                writer.writerows([repr(float(theta)), repr(float(x)), tag] for x in row)
+    return path.read_bytes()

@@ -26,7 +26,7 @@ def amplified_roundtrip():
 def povm_element(theta, x, eta, cut):
     """Pi(theta, x) = E^dag(phi phi^dag) as MaxLik sees it: for one record the
     kernel returns logL = log p and E^dag(S) = Pi / p at any rho with p > 0."""
-    kernel = tomography._Likelihood(np.array([theta]), np.array([x]), eta, cut)
+    kernel = tomography._Likelihood(np.array([theta]), np.array([[x]]), eta, cut)
     ll, grad = kernel(np.eye(cut.dim, dtype=complex) / cut.dim)
     return np.exp(ll) * grad
 
@@ -69,7 +69,7 @@ class TestForwardModel:
             pdf = homodyne.quadrature_pdf(homodyne.loss_channel(rho, eta), theta, grid)
             expected += float(np.sum(np.log(pdf[idx])))
         kernel = tomography._Likelihood(
-            np.repeat(phases, idx.size), np.tile(grid[idx], len(phases)), eta, cut
+            np.array(phases), np.tile(grid[idx], (len(phases), 1)), eta, cut
         )
         ll, _ = kernel(rho.elements)
         assert abs(ll - expected) <= 1e-12 * abs(expected)
@@ -177,7 +177,7 @@ class TestLikelihoodKernel:
             truth, homodyne.uniform_phases(5), 2000, eta, 27, tag="amplified"
         )
         # d 21 gives 1560-column tiles, so each phase is one full and one ragged tile
-        kernel = tomography._Likelihood(data.theta, data.x, eta, cut)
+        kernel = tomography._Likelihood(data.phases, data.records["amplified"], eta, cut)
         assert all(
             [psi.shape[1] for psi in tiles] == [1560, 440] for _, tiles in kernel._phases
         )
