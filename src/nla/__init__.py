@@ -9,13 +9,11 @@ from .fock import (
     DensityMatrix,
     FockCutoff,
     PureState,
-    apply_ladder,
     coherent_state,
     default_cutoff,
     expectation,
     fock_state,
     mean_photon,
-    mean_x,
     state_fidelity,
     vacuum_state,
     var_x,
@@ -32,7 +30,6 @@ from .amplifiers import (
     ideal_amplifier_report,
     phase_estimation_metrics,
     scissors_metrics,
-    scissors_output,
 )
 from .physical import (
     HeraldedResult,
@@ -78,7 +75,6 @@ __all__ = [
     "WignerGrid",
     "amplified_fidelity_diagnostic",
     "amplify_ideal",
-    "apply_ladder",
     "coherent_state",
     "default_cutoff",
     "deterministic_noise_bounds",
@@ -97,7 +93,6 @@ __all__ = [
     "loss_channel",
     "maxlik_reconstruct",
     "mean_photon",
-    "mean_x",
     "mixture",
     "phase_estimation_metrics",
     "phase_shift",
@@ -105,7 +100,6 @@ __all__ = [
     "quadrature_pdf",
     "sample_quadratures",
     "scissors_metrics",
-    "scissors_output",
     "state_fidelity",
     "uniform_phases",
     "vacuum_state",

@@ -1,6 +1,6 @@
 """Ideal noiseless-amplifier operator, the quantum-scissors rival, and every
 figure of merit: effective gain, fidelity to the amplified target, equivalent
-input noise, deterministic-amplifier noise bounds, and phase-estimation
+input noise, the best deterministic-amplifier variance, and phase-estimation
 variance reduction.
 
 All closed forms depend on |alpha| only; metric sweeps therefore take a real
@@ -18,23 +18,15 @@ from .fock import FockCutoff, PureState, State
 
 @dataclass(frozen=True)
 class AmplifierReport:
-    """Figures of merit of one amplifier at one input amplitude.
-
-    success_weight is the relative weight <G^2> of the conditional output
-    against the normalized input, not an absolute lab herald rate; variances
-    are in shot-noise units.
-    """
+    """Figures of merit of one amplifier at one input amplitude; variances
+    are in shot-noise units."""
 
     g_eff: float
-    fidelity: float
     n_eq: float
-    success_weight: float
     var_x_amp: float
     var_p_amp: float
 
     def __post_init__(self):
-        if not 0.0 <= self.fidelity <= 1.0 + 1e-12:
-            raise ValueError(f"fidelity out of [0, 1]: {self.fidelity}")
         if self.var_x_amp <= 0.0 or self.var_p_amp <= 0.0:
             raise ValueError("variances must be positive")
 
@@ -94,17 +86,6 @@ def fidelity_numeric(
     return fock.state_fidelity(out, target)
 
 
-def scissors_output(alpha: complex, g: float, cutoff: FockCutoff) -> PureState:
-    """Quantum-scissors output (|0> + g alpha |1>)/sqrt(1 + g^2 |alpha|^2)."""
-    if g < 1.0:
-        raise ValueError(f"gain must be >= 1, got {g}")
-    amps = np.zeros(cutoff.dim, dtype=np.complex128)
-    norm = np.sqrt(1.0 + g * g * abs(alpha) ** 2)
-    amps[0] = 1.0 / norm
-    amps[1] = g * alpha / norm
-    return PureState(amps, cutoff)
-
-
 def scissors_metrics(g: float, alpha_abs: float) -> tuple[float, float]:
     """(effective gain, fidelity) of the quantum-scissors amplifier."""
     if g < 1.0:
@@ -126,21 +107,12 @@ def equivalent_input_noise(var_x_amp: float, g_eff: float, var_x_in: float) -> f
     return var_x_amp / (g_eff * g_eff) - var_x_in
 
 
-@dataclass(frozen=True)
-class NoiseBounds:
-    quantum_limited_added: float
-    classical_added: float
-    best_det_variance: float
-
-
-def deterministic_noise_bounds(g: float) -> NoiseBounds:
-    """Noise floors of deterministic rivals at gain g, in shot-noise units:
-    quantum-limited added noise 2(g^2-1), measure-and-prepare added noise
-    2g^2, and the best deterministic output variance 2g^2-1."""
+def deterministic_noise_bounds(g: float) -> float:
+    """Best output quadrature variance 2g^2 - 1 that a deterministic
+    amplifier of gain g reaches on a coherent input, in shot-noise units."""
     if g < 1.0:
         raise ValueError(f"gain must be >= 1, got {g}")
-    g2 = g * g
-    return NoiseBounds(2.0 * (g2 - 1.0), 2.0 * g2, 2.0 * g2 - 1.0)
+    return 2.0 * (g * g) - 1.0
 
 
 def phase_estimation_metrics(
@@ -165,8 +137,7 @@ def ideal_amplifier_report(
     """All figures of merit of the ideal operator on |alpha>, Fock-space route."""
     if cutoff is None:
         cutoff = fock.default_cutoff(alpha_abs, g=g)
-    psi = fock.coherent_state(alpha_abs, cutoff)
-    out = amplify_ideal(psi, g)
+    out = amplify_ideal(fock.coherent_state(alpha_abs, cutoff), g)
     g_eff = (
         effective_gain_numeric(g, alpha_abs, cutoff)
         if alpha_abs > 0.0
@@ -176,9 +147,7 @@ def ideal_amplifier_report(
     var_p_amp = fock.var_x(out, np.pi / 2.0)
     return AmplifierReport(
         g_eff=g_eff,
-        fidelity=fidelity_numeric(g, alpha_abs, cutoff),
         n_eq=equivalent_input_noise(var_x_amp, g_eff, 1.0),
-        success_weight=out.norm_squared / psi.norm_squared,
         var_x_amp=var_x_amp,
         var_p_amp=var_p_amp,
     )

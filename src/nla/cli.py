@@ -8,7 +8,7 @@ produce byte-identical outputs. A manifest itself is accepted as a config,
 so any run can be reproduced from its own output directory.
 
 Exit codes: 0 success, 2 config error, 3 numerical-convergence failure,
-4 I/O error.
+4 I/O error (including a dataset CSV or sidecar that does not parse).
 """
 
 from __future__ import annotations
@@ -30,6 +30,15 @@ from .errors import ConfigError, ConvergenceError, EstimationError, SimulationEr
 _PIPELINES = ("curves", "simulate", "reconstruct", "wigner-demo")
 
 _VACUUM_VARIANCE_SIGMAS = 6.0
+
+_FLOAT_FIELDS = (
+    "g", "lam", "reflectivity", "eta", "ll_tol", "diag_tol", "grid_halfwidth", "alpha_step"
+)
+
+
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, but not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,6 +73,10 @@ class ExperimentConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not _is_number(value):
+                raise ConfigError(f"{_JSON_KEY.get(name, name)} must be a number, got {value!r}")
         if self.pipeline not in _PIPELINES:
             raise ConfigError(f"pipeline must be one of {_PIPELINES}, got {self.pipeline!r}")
         if not self.alphas:
@@ -129,8 +142,10 @@ def config_from_dict(raw: dict, pipeline: str | None = None) -> ExperimentConfig
         kwargs["pipeline"] = pipeline
     if "alphas" in kwargs:
         alphas = kwargs["alphas"]
-        if isinstance(alphas, (int, float)):
+        if _is_number(alphas):
             alphas = [alphas]
+        if not isinstance(alphas, (list, tuple)) or not all(map(_is_number, alphas)):
+            raise ConfigError(f"alphas must be a number or a list of numbers, got {alphas!r}")
         kwargs["alphas"] = tuple(float(a) for a in alphas)
     try:
         return ExperimentConfig(**kwargs)
@@ -190,22 +205,15 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
     return path
 
 
-def _write_rho(rho: fock.DensityMatrix, path: Path, extra: dict | None = None) -> Path:
+def _write_rho(rho: fock.DensityMatrix, path: Path, extra: dict) -> Path:
     payload = {
         "n_max": rho.cutoff.n_max,
         "real": rho.elements.real.tolist(),
         "imag": rho.elements.imag.tolist(),
+        **extra,
     }
-    if extra:
-        payload.update(extra)
     path.write_text(_json_bytes(payload))
     return path
-
-
-def load_rho(path: str | Path) -> fock.DensityMatrix:
-    payload = json.loads(Path(path).read_text())
-    mat = np.array(payload["real"]) + 1j * np.array(payload["imag"])
-    return fock.DensityMatrix(mat, fock.FockCutoff(payload["n_max"]))
 
 
 def _cutoff(config: ExperimentConfig, alpha: float) -> fock.FockCutoff:
@@ -262,7 +270,7 @@ def run_curves(config: ExperimentConfig, out_dir: Path) -> list[Path]:
                 report.n_eq,
                 report.var_x_amp,
                 report.var_p_amp,
-                amplifiers.deterministic_noise_bounds(report.g_eff).best_det_variance,
+                amplifiers.deterministic_noise_bounds(report.g_eff),
             ]
         )
     path = _write_csv(
@@ -372,9 +380,7 @@ def _simulate_one(config: ExperimentConfig, alpha: float, out_dir: Path) -> list
         else None,
         "var_x": var_x_rec,
         "var_p": var_p_rec,
-        "best_det_variance": amplifiers.deterministic_noise_bounds(
-            g_eff_analytic
-        ).best_det_variance,
+        "best_det_variance": amplifiers.deterministic_noise_bounds(g_eff_analytic),
         "iterations_used": result.iterations_used,
         "converged": result.converged,
     }
@@ -388,8 +394,12 @@ def _simulate_one(config: ExperimentConfig, alpha: float, out_dir: Path) -> list
 
 
 def run_reconstruct(config: ExperimentConfig, out_dir: Path) -> list[Path]:
-    """MaxLik reconstruction of an existing quadrature CSV."""
-    data = homodyne.load_dataset_csv(config.dataset)
+    """MaxLik reconstruction of an existing quadrature CSV; a dataset that
+    does not parse is an I/O error."""
+    try:
+        data = homodyne.load_dataset_csv(config.dataset)
+    except (ValueError, KeyError, TypeError, csv.Error) as exc:
+        raise OSError(f"malformed dataset {config.dataset}: {type(exc).__name__}: {exc}") from exc
     alpha = config.alphas[0]
     cutoff = _cutoff(config, alpha)
     result, paths = _reconstruct(config, data, cutoff, config.reconstruct_tag, out_dir)

@@ -21,13 +21,10 @@ from typing import Union
 import numpy as np
 from scipy.special import gammainc
 
-from .errors import CutoffError, TruncationError, ZeroNormError
+from .errors import CutoffError, ZeroNormError
 
 # Maximum probability weight allowed beyond the cutoff for constructed states.
 TAIL_TOL = 1e-12
-
-# Relative squared-amplitude threshold at n_max above which creation refuses to act.
-CREATION_HEADROOM_TOL = 1e-12
 
 _ZERO_NORM = 1e-30
 
@@ -160,16 +157,16 @@ class DensityMatrix:
     def normalized(self) -> "DensityMatrix":
         return DensityMatrix(self.elements / self.trace, self.cutoff)
 
-    def purity(self) -> float:
-        rho = self.elements / self.trace
-        return float(np.trace(rho @ rho).real)
-
 
 State = Union[PureState, DensityMatrix]
 
 
 def normalized_density(state: State) -> DensityMatrix:
-    """Unit-trace density matrix of a ket or of a possibly subnormalized matrix."""
+    """Unit-trace density matrix of a ket or of a possibly subnormalized matrix.
+
+    The one dispatch on the state type for everything that needs only the
+    normalized state: expectations, fidelities, loss, densities and Wigner.
+    """
     if isinstance(state, PureState):
         return state.to_density()
     if isinstance(state, DensityMatrix):
@@ -230,49 +227,13 @@ def quadrature_matrix(theta: float, cutoff: FockCutoff) -> np.ndarray:
     return a * np.exp(-1j * theta) + a.conj().T * np.exp(1j * theta)
 
 
-def apply_ladder(state: PureState, which: str) -> PureState:
-    """Apply a^dag ("creation") or a ("annihilation"); output is unnormalized.
-
-    Creation demands negligible relative weight at n_max (else the raised
-    component would fall off the truncated basis); annihilation is always
-    safe.
-    """
-    amps = state.amplitudes
-    n2 = state.norm_squared
-    if which == "creation":
-        if n2 > _ZERO_NORM and abs(amps[-1]) ** 2 / n2 > CREATION_HEADROOM_TOL:
-            raise TruncationError(
-                "creation would overflow the cutoff: relative weight at n_max is "
-                f"{abs(amps[-1]) ** 2 / n2:.3e}"
-            )
-        out = np.zeros_like(amps)
-        out[1:] = amps[:-1] * np.sqrt(np.arange(1, state.dim))
-    elif which == "annihilation":
-        out = np.zeros_like(amps)
-        out[:-1] = amps[1:] * np.sqrt(np.arange(1, state.dim))
-    else:
-        raise ValueError(f"which must be 'creation' or 'annihilation', got {which!r}")
-    return PureState(out, state.cutoff)
-
-
 def expectation(state: State, operator: np.ndarray) -> complex:
-    """<O> = <psi|O|psi>/<psi|psi> for kets, Tr(rho O)/Tr(rho) for matrices."""
-    if isinstance(state, PureState):
-        n2 = state.norm_squared
-        if n2 < _ZERO_NORM:
-            raise ZeroNormError("expectation undefined on a zero-norm state")
-        return complex(np.vdot(state.amplitudes, operator @ state.amplitudes) / n2)
-    if isinstance(state, DensityMatrix):
-        return complex(np.trace(operator @ state.elements) / state.trace)
-    raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
+    """<O> = Tr(rho O) in the normalized density of a ket or a matrix."""
+    return complex(np.trace(operator @ normalized_density(state).elements))
 
 
 def mean_photon(state: State) -> float:
     return expectation(state, number_matrix(state.cutoff)).real
-
-
-def mean_x(state: State, theta: float = 0.0) -> float:
-    return expectation(state, quadrature_matrix(theta, state.cutoff)).real
 
 
 def var_x(state: State, theta: float = 0.0) -> float:
@@ -284,7 +245,8 @@ def var_x(state: State, theta: float = 0.0) -> float:
 
 
 def state_fidelity(a: State, b: PureState) -> float:
-    """Normalized overlap: |<b|a>|^2 for pure a, <b|rho|b> for mixed a.
+    """Normalized overlap <b|rho_a|b> / <b|b>, with rho_a the normalized
+    density of a: |<b|a>|^2 for pure a.
 
     Both arguments are normalized internally, so unnormalized herald-weighted
     inputs are handled; symmetric and global-phase invariant for pure pairs.
@@ -296,13 +258,5 @@ def state_fidelity(a: State, b: PureState) -> float:
     bn2 = b.norm_squared
     if bn2 < _ZERO_NORM:
         raise ZeroNormError("fidelity undefined against a zero-norm state")
-    if isinstance(a, PureState):
-        an2 = a.norm_squared
-        if an2 < _ZERO_NORM:
-            raise ZeroNormError("fidelity undefined for a zero-norm state")
-        ov = np.vdot(b.amplitudes, a.amplitudes)
-        return float(abs(ov) ** 2 / (an2 * bn2))
-    if isinstance(a, DensityMatrix):
-        val = np.vdot(b.amplitudes, a.elements @ b.amplitudes).real
-        return float(max(val, 0.0) / (a.trace * bn2))
-    raise TypeError(f"expected PureState or DensityMatrix, got {type(a).__name__}")
+    val = np.vdot(b.amplitudes, normalized_density(a).elements @ b.amplitudes).real
+    return float(max(val, 0.0) / bn2)

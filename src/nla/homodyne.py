@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import fock
-from .fock import DensityMatrix, PureState, State
+from .fock import DensityMatrix, State
 from .errors import EstimationError, GridError
 
 _MAX_PDF_SPACING = 0.02
@@ -122,18 +122,13 @@ class LossMap:
 
 
 def loss_channel(state: State, eta: float) -> DensityMatrix:
-    """Efficiency-eta loss: trace-preserving, maps |alpha> to |sqrt(eta) alpha>."""
-    if isinstance(state, PureState):
-        rho = state.to_density().elements * min(state.norm_squared, 1.0)
-        cutoff = state.cutoff
-    elif isinstance(state, DensityMatrix):
-        rho = state.elements
-        cutoff = state.cutoff
-    else:
-        raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
-    out = LossMap(eta, cutoff.dim).apply(rho)
+    """Efficiency-eta loss of the normalized state: trace-preserving, maps
+    |alpha> to |sqrt(eta) alpha>. A subnormalized input (a herald-weighted
+    ket or matrix) loses its weight here, so the output has unit trace."""
+    rho = fock.normalized_density(state)
+    out = LossMap(eta, rho.dim).apply(rho.elements)
     out = 0.5 * (out + out.conj().T)
-    return DensityMatrix(out, cutoff)
+    return DensityMatrix(out, rho.cutoff)
 
 
 def phase_rotated(rho: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -312,8 +307,6 @@ def uniform_phases(count: int) -> np.ndarray:
 class GainEstimate:
     gain: float
     stderr: float
-    n_amplified: int
-    n_input: int
 
 
 def gain_from_samples(amplified: np.ndarray, input_: np.ndarray) -> GainEstimate:
@@ -337,7 +330,7 @@ def gain_from_samples(amplified: np.ndarray, input_: np.ndarray) -> GainEstimate
         )
     gain = ma / mi
     stderr = float(np.hypot(sa / mi, ma * si / (mi * mi)))
-    return GainEstimate(gain, stderr, amplified.size, input_.size)
+    return GainEstimate(gain, stderr)
 
 
 def _csv_tag_field(tag) -> str:

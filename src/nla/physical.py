@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock
+from . import amplifiers, fock
 from .fock import DensityMatrix, FockCutoff, PureState, State
 from .errors import ConvergenceError, TruncationError
 from .homodyne import log_binomial_bands, lower_bands, raise_bands
@@ -128,7 +128,5 @@ def physical_amplifier(
 
 def fidelity_to_ideal_amplifier(state: State, alpha: complex, g: float = 2.0) -> float:
     """Overlap of a conditional output with the normalized ideal-operator target."""
-    from . import amplifiers
-
     target = amplifiers.amplify_ideal(fock.coherent_state(alpha, state.cutoff), g).normalized()
     return fock.state_fidelity(state, target)

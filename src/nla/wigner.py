@@ -137,12 +137,10 @@ def wigner_function(
 
 def phase_shift(state: State, phi: float):
     """Phase-space rotation e^{i phi n}: maps |alpha> to |alpha e^{i phi}>."""
+    phase = np.exp(1j * phi * np.arange(state.dim))
     if isinstance(state, PureState):
-        n = np.arange(state.dim)
-        return PureState(state.amplitudes * np.exp(1j * phi * n), state.cutoff)
+        return PureState(state.amplitudes * phase, state.cutoff)
     if isinstance(state, DensityMatrix):
-        n = np.arange(state.dim)
-        phase = np.exp(1j * phi * n)
         return DensityMatrix(state.elements * np.outer(phase, phase.conj()), state.cutoff)
     raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
 

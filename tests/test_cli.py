@@ -1,9 +1,11 @@
 import csv
 import json
+import shutil
 
+import numpy as np
 import pytest
 
-from nla import cli
+from nla import cli, fock
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -23,6 +25,12 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+def load_rho(path):
+    payload = json.loads(path.read_text())
+    mat = np.array(payload["real"]) + 1j * np.array(payload["imag"])
+    return fock.DensityMatrix(mat, fock.FockCutoff(payload["n_max"]))
 
 
 def read_curves(path):
@@ -66,6 +74,25 @@ class TestConfig:
         path = write_config(tmp_path, **{field: value})
         assert cli.main(["simulate", "--config", str(path)]) == 2
         assert f"config error: {field} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [True, "x"], ids=["true", "string"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "g", "lambda", "R", "eta", "ll_tol", "diag_tol", "grid_halfwidth", "alpha_step",
+            "alphas",
+        ],
+    )
+    def test_float_fields_reject_other_types(self, tmp_path, capsys, field, value):
+        path = write_config(tmp_path, **{field: [0.3, value] if field == "alphas" else value})
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert f"config error: {field} must be a number" in capsys.readouterr().err
+
+    def test_float_fields_accept_json_integers(self, tmp_path):
+        path = write_config(tmp_path, alphas=[1], eta=1, grid_halfwidth=8)
+        config = cli.load_config(path, "simulate")
+        assert config.alphas == (1.0,)
+        assert config.to_dict()["eta"] == 1 and isinstance(config.eta, int)
 
     def test_validation_happens_before_any_computation(self, tmp_path):
         out = tmp_path / "out"
@@ -151,7 +178,7 @@ class TestSimulate:
         assert all(b - a >= -1e-9 for a, b in zip(values, values[1:]))
 
     def test_rho_loads_back_physical(self, sim_dir):
-        rho = cli.load_rho(sim_dir / "rho.json")
+        rho = load_rho(sim_dir / "rho.json")
         assert abs(rho.trace - 1.0) < 1e-9
 
     def test_outputs_carry_provenance(self, sim_dir):
@@ -198,8 +225,46 @@ class TestReconstruct:
         report = json.loads((tmp_path / "rec" / "report.json").read_text())
         assert report["tag"] == "amplified"
         assert 0.0 < report["diagnostic_fidelity_2alpha"] <= 1.0
-        rho = cli.load_rho(tmp_path / "rec" / "rho.json")
+        rho = load_rho(tmp_path / "rec" / "rho.json")
         assert abs(rho.trace - 1.0) < 1e-9
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "truncated", "short_row", "non_numeric", "open_quote",
+            "bad_sidecar", "sidecar_key", "sidecar_type",
+        ],
+    )
+    def test_malformed_dataset_is_io_error(self, sim_dir, tmp_path, capsys, damage):
+        dataset = tmp_path / "quadratures.csv"
+        sidecar = tmp_path / "quadratures.csv.meta.json"
+        shutil.copyfile(sim_dir / dataset.name, dataset)
+        shutil.copyfile(sim_dir / sidecar.name, sidecar)
+        lines = dataset.read_text().splitlines(keepends=True)
+        if damage == "truncated":
+            dataset.write_text("".join(lines[:100]))
+        elif damage == "short_row":
+            dataset.write_text("".join(lines[:5] + ["0.0,1.5\r\n"] + lines[5:]))
+        elif damage == "non_numeric":
+            dataset.write_text("".join(lines[:5] + ["0.0,abc,amplified\r\n"] + lines[5:]))
+        elif damage == "open_quote":
+            dataset.write_text("".join(lines[:5] + ['0.0,1.5,"amplified\r\n'] + lines[5:]))
+        elif damage == "bad_sidecar":
+            sidecar.write_text("{not json")
+        else:
+            meta = json.loads(sidecar.read_text())
+            if damage == "sidecar_key":
+                del meta["phases"]
+            else:
+                meta["eta"] = "0.6"
+            sidecar.write_text(json.dumps(meta))
+        config2 = write_config(
+            tmp_path, name="rec.json", dataset=str(dataset), output_dir=str(tmp_path / "rec")
+        )
+        assert cli.main(["reconstruct", "--config", str(config2)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error [reconstruct]: ")
+        assert str(dataset) in err and err.count("\n") == 1
 
     def test_missing_dataset_is_config_error(self, tmp_path):
         config = write_config(tmp_path, name="rec.json", dataset=None)

@@ -2,13 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nla import fock
-from nla.errors import CutoffError, TruncationError, ZeroNormError
+from nla import fock, homodyne
+from nla.errors import CutoffError, ZeroNormError
 from nla.fock import FockCutoff
 
 
 CUT30 = FockCutoff(30)
+
+
+def mean_x(state, theta=0.0):
+    return fock.expectation(state, fock.quadrature_matrix(theta, state.cutoff)).real
+
+
+def raised(state):
+    """a^dag applied to a ket, unnormalized."""
+    a_dag = fock.annihilation_matrix(state.cutoff).conj().T
+    return fock.PureState(a_dag @ state.amplitudes, state.cutoff)
+
+
+def lowered(state):
+    """a applied to a ket, unnormalized."""
+    return fock.PureState(fock.annihilation_matrix(state.cutoff) @ state.amplitudes, state.cutoff)
 
 
 def coherent_amplitudes_reference(alpha, n_max):
@@ -59,40 +76,31 @@ class TestCoherentState:
 
 class TestLadder:
     def test_creation_on_vacuum(self):
-        out = fock.apply_ladder(fock.vacuum_state(CUT30), "creation")
+        out = raised(fock.vacuum_state(CUT30))
         assert np.allclose(out.amplitudes, fock.fock_state(1, CUT30).amplitudes)
 
     def test_coherent_is_annihilation_eigenstate(self):
         state = fock.coherent_state(0.4 + 0.3j, CUT30)
-        out = fock.apply_ladder(state, "annihilation")
+        out = lowered(state)
         assert np.max(np.abs(out.amplitudes - (0.4 + 0.3j) * state.amplitudes)) < 1e-10
 
     def test_annihilation_on_vacuum_is_zero(self):
-        out = fock.apply_ladder(fock.vacuum_state(CUT30), "annihilation")
+        out = lowered(fock.vacuum_state(CUT30))
         assert out.norm == 0.0
 
     def test_output_norms_match_expectations(self):
         state = fock.coherent_state(0.8, FockCutoff(40))
         n_op = fock.number_matrix(state.cutoff)
-        up = fock.apply_ladder(state, "creation")
-        down = fock.apply_ladder(state, "annihilation")
+        up = raised(state)
+        down = lowered(state)
         mean_n = fock.expectation(state, n_op).real
         assert abs(up.norm_squared - (mean_n + 1.0)) < 1e-9
         assert abs(down.norm_squared - mean_n) < 1e-10
 
-    def test_creation_overflow_raises(self):
-        top_heavy = fock.fock_state(30, CUT30)
-        with pytest.raises(TruncationError):
-            fock.apply_ladder(top_heavy, "creation")
-
-    def test_unknown_ladder_name(self):
-        with pytest.raises(ValueError):
-            fock.apply_ladder(fock.vacuum_state(CUT30), "displacement")
-
 
 class TestExpectation:
     def test_x0_on_coherent(self):
-        assert abs(fock.mean_x(fock.coherent_state(0.5, CUT30)) - 1.0) < 1e-12
+        assert abs(mean_x(fock.coherent_state(0.5, CUT30)) - 1.0) < 1e-12
 
     def test_vacuum_shot_noise_unit(self):
         assert abs(fock.var_x(fock.vacuum_state(CUT30)) - 1.0) < 1e-12
@@ -102,7 +110,7 @@ class TestExpectation:
         assert abs(fock.mean_photon(rho) - 1.0) < 1e-12
 
     def test_zero_norm_raises(self):
-        dead = fock.apply_ladder(fock.vacuum_state(CUT30), "annihilation")
+        dead = lowered(fock.vacuum_state(CUT30))
         with pytest.raises(ZeroNormError):
             fock.expectation(dead, fock.number_matrix(CUT30))
 
@@ -111,7 +119,7 @@ class TestExpectation:
         state = fock.coherent_state(alpha, CUT30)
         for theta in np.linspace(0.0, 2.0 * np.pi, 9):
             expected = 2.0 * abs(alpha) * np.cos(np.angle(alpha) - theta)
-            assert abs(fock.mean_x(state, theta) - expected) < 1e-10
+            assert abs(mean_x(state, theta) - expected) < 1e-10
 
     def test_commutator_unit(self):
         a = fock.annihilation_matrix(CUT30)
@@ -126,7 +134,7 @@ class TestExpectation:
             small = fock.coherent_state(alpha, CUT30)
             large = fock.coherent_state(alpha, FockCutoff(40))
             for theta in (0.0, np.pi / 3):
-                assert abs(fock.mean_x(small, theta) - fock.mean_x(large, theta)) < 1e-9
+                assert abs(mean_x(small, theta) - mean_x(large, theta)) < 1e-9
                 assert abs(fock.var_x(small, theta) - fock.var_x(large, theta)) < 1e-9
             assert abs(fock.mean_photon(small) - fock.mean_photon(large)) < 1e-9
 
@@ -161,6 +169,33 @@ class TestFidelity:
         rho = fock.fock_state(1, CUT30).to_density()
         vac = fock.vacuum_state(CUT30)
         assert fock.state_fidelity(rho, vac) < 1e-14
+
+
+class TestOneDispatch:
+    """A ket and its density matrix go through normalized_density to the same
+    numbers, whatever the ket's norm."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(4, 12),
+        st.floats(0.1, 3.0),
+        st.floats(0.0, 2.0 * np.pi),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_ket_and_density_agree(self, dim, scale, theta, seed):
+        rng = np.random.default_rng(seed)
+        cut = FockCutoff(dim - 1)
+        unit = fock.PureState(rng.normal(size=dim) + 1j * rng.normal(size=dim), cut).normalized()
+        b = fock.PureState(rng.normal(size=dim) + 1j * rng.normal(size=dim), cut)
+        operators = (fock.number_matrix(cut), fock.quadrature_matrix(theta, cut))
+        for ket in (unit, fock.PureState(scale * unit.amplitudes, cut)):
+            rho = ket.to_density()
+            for op in operators:
+                assert abs(fock.expectation(ket, op) - fock.expectation(rho, op)) < 1e-12
+            assert abs(fock.state_fidelity(ket, b) - fock.state_fidelity(rho, b)) < 1e-12
+            lossy_ket = homodyne.loss_channel(ket, 0.6).elements
+            lossy_rho = homodyne.loss_channel(rho, 0.6).elements
+            assert np.max(np.abs(lossy_ket - lossy_rho)) < 1e-12
 
 
 class TestValueTypes:
